@@ -9,17 +9,18 @@
 #    build and determinism regressions
 # 3. ThreadSanitizer build + run of the concurrent suites (test_prefetcher,
 #    test_parallel, test_buffer_pool, test_subgraph_cache,
-#    test_ppr_workspace, test_frontend, test_fault, test_metrics,
-#    test_trace, test_resource_governor) so data races in the
+#    test_ppr_workspace, test_serve_engine, test_frontend, test_fault,
+#    test_metrics, test_trace, test_resource_governor) so data races in the
 #    producer/consumer pipeline, the thread pool, the pooled-slab handoff,
 #    the serving cache's single-flight path, the per-thread subgraph
-#    workspaces, the concurrent serving front-end (worker pool, shed
-#    accounting, hot swap, Stats polling), the fault injector's armed
-#    paths, the sharded metrics instruments / trace recorder and the
-#    governor's charge/watermark machinery fail CI, followed by a
-#    timeout-wrapped chaos soak (fault
-#    injection armed at every serving site; the timeout is part of the
-#    assertion — a lost wakeup or an unresolved future under faults hangs)
+#    workspaces, the engine's shared scratch pool and per-scratch
+#    prefetcher under concurrent callers, the concurrent serving front-end
+#    (worker pool, shed accounting, hot swap, Stats polling), the fault
+#    injector's armed paths, the sharded metrics instruments / trace
+#    recorder and the governor's charge/watermark machinery fail CI,
+#    followed by a timeout-wrapped chaos soak (fault injection armed at
+#    every serving site; the timeout is part of the assertion — a lost
+#    wakeup or an unresolved future under faults hangs)
 # 4. smoke runs of bench_parallel_scaling, bench_async_pipeline and the
 #    scripts/bench.sh JSON emitter at small sizes (bench_pr5_assembly
 #    asserts zero warm-call heap allocations in the PPR workspace)
@@ -73,8 +74,8 @@ cmake -B "$TSAN_BUILD_DIR" -S . \
   -DBSG_BUILD_BENCHES=OFF
 cmake --build "$TSAN_BUILD_DIR" -j "$JOBS" \
   --target test_prefetcher test_parallel test_buffer_pool \
-  test_subgraph_cache test_ppr_workspace test_frontend test_fault \
-  test_metrics test_trace test_resource_governor
+  test_subgraph_cache test_ppr_workspace test_serve_engine test_frontend \
+  test_fault test_metrics test_trace test_resource_governor
 # halt_on_error: the first race aborts the test binary, so CI goes red.
 TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
   "$TSAN_BUILD_DIR/test_prefetcher"
@@ -86,6 +87,8 @@ TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
   "$TSAN_BUILD_DIR/test_subgraph_cache"
 TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
   "$TSAN_BUILD_DIR/test_ppr_workspace"
+TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
+  "$TSAN_BUILD_DIR/test_serve_engine"
 TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
   "$TSAN_BUILD_DIR/test_frontend"
 TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \

@@ -22,6 +22,9 @@ double BotProbability(double logit_human, double logit_bot) {
   return eb / (eh + eb);
 }
 
+// Batches in flight during multi-chunk scoring (2 = double buffer).
+constexpr int kPrefetchDepth = 2;
+
 }  // namespace
 
 /// Returns the scratch to the free list when the call unwinds.
@@ -123,63 +126,8 @@ std::vector<Score> DetectionEngine::ScoreBatch(
 
 Status DetectionEngine::TryScoreOne(int target, const ScoreOptions& opts,
                                     Score* out) {
-  ScratchLease lease(this);
-  CallScratch& cs = *lease;
-  cs.model = model_.load(std::memory_order_acquire);
-  cs.version = graph_version_.load(std::memory_order_acquire);
-  cs.trace = opts.trace;
-  if (DeadlineExpired(opts)) {
-    deadline_failures_.fetch_add(1, std::memory_order_relaxed);
-    return Status::DeadlineExceeded("deadline expired before scoring target " +
-                                    std::to_string(target));
-  }
-  const uint64_t asm_start = obs::TraceNowNs();
-  uint64_t build_ns = 0;
-  std::shared_ptr<const BiasedSubgraph> sub;
-  try {
-    sub = cache_.GetOrBuild(target, cs.version, [&cs, &build_ns](int t) {
-      if (cs.trace == nullptr) return cs.model->AssembleSubgraph(t);
-      const uint64_t b0 = obs::TraceNowNs();
-      BiasedSubgraph built = cs.model->AssembleSubgraph(t);
-      build_ns += obs::TraceNowNs() - b0;
-      return built;
-    });
-  } catch (const StatusError& e) {
-    score_failures_.fetch_add(1, std::memory_order_relaxed);
-    return e.status();
-  } catch (const std::exception& e) {
-    score_failures_.fetch_add(1, std::memory_order_relaxed);
-    return Status::Internal(std::string("subgraph assembly failed: ") +
-                            e.what());
-  }
-  if (cs.trace != nullptr) {
-    // The probe span excludes any build time so the two stay disjoint (the
-    // trace invariant is "span durations sum to <= end-to-end latency").
-    const uint64_t probe_end = obs::TraceNowNs();
-    cs.trace->AddSpan(obs::TraceStage::kCacheProbe, asm_start,
-                      probe_end - asm_start - build_ns, 0);
-    if (build_ns > 0) {
-      cs.trace->AddSpan(obs::TraceStage::kBuild, asm_start, build_ns, 0);
-    }
-  }
-  cs.chunk.assign(1, target);
-  cs.subs.assign(1, sub.get());
-  SubgraphBatch batch;
-  {
-    obs::ScopedSpan stack_span(cs.trace, obs::TraceStage::kStack, 0);
-    batch = cs.stacker.Stack(cs.subs, cs.chunk);
-  }
-  assemble_ms_hist_->Observe(
-      static_cast<double>(obs::TraceNowNs() - asm_start) * 1e-6);
-  Status st = ScoreAssembled(cs, batch, out, 0);
-  cs.stacker.Recycle(std::move(batch));
-  if (!st.ok()) {
-    score_failures_.fetch_add(1, std::memory_order_relaxed);
-    return st;
-  }
   single_requests_.fetch_add(1, std::memory_order_relaxed);
-  targets_scored_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  return ScoreTargets(&target, 1, opts, out);
 }
 
 Status DetectionEngine::TryScoreBatch(const std::vector<int>& targets,
@@ -187,8 +135,12 @@ Status DetectionEngine::TryScoreBatch(const std::vector<int>& targets,
                                       std::vector<Score>* out) {
   batch_requests_.fetch_add(1, std::memory_order_relaxed);
   out->assign(targets.size(), Score{});
-  if (targets.empty()) return Status::OK();
+  return ScoreTargets(targets.data(), targets.size(), opts, out->data());
+}
 
+Status DetectionEngine::ScoreTargets(const int* targets, size_t n,
+                                     const ScoreOptions& opts, Score* out) {
+  if (n == 0) return Status::OK();
   ScratchLease lease(this);
   CallScratch& cs = *lease;
   cs.model = model_.load(std::memory_order_acquire);
@@ -198,83 +150,65 @@ Status DetectionEngine::TryScoreBatch(const std::vector<int>& targets,
   // (its producer is guaranteed idle — the failing call cancelled the
   // epoch before releasing the lease).
   cs.assemble_failed.store(false, std::memory_order_relaxed);
+  cs.pending.assign(targets, targets + n);
 
   const size_t width = static_cast<size_t>(batch_size_);
-  const size_t num_chunks = (targets.size() + width - 1) / width;
-  cs.pending = targets;
-
-  // Converts the scratch's recorded assembly failure into the return
-  // Status (producer already quiesced by the caller).
-  auto assembly_error = [&cs, this]() {
-    Status st = cs.TakeAssembleError();
-    cs.assemble_failed.store(false, std::memory_order_relaxed);
-    if (st.code() == StatusCode::kDeadlineExceeded) {
-      deadline_failures_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      score_failures_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return st;
-  };
-
+  const size_t num_chunks = (n + width - 1) / width;
+  // Multi-chunk requests stream: chunk assembly — cache probes plus PPR
+  // builds for the misses — runs on this scratch's producer thread while
+  // this thread runs the previous chunk's forward pass. A single chunk has
+  // nothing to overlap with, so it assembles inline.
+  BatchPrefetcher* prefetcher = nullptr;
   if (num_chunks > 1) {
-    // Coalesced streaming: chunk assembly — cache probes plus PPR builds
-    // for the misses — runs on this scratch's producer thread while this
-    // thread runs the previous chunk's forward pass.
     if (cs.prefetcher == nullptr) {
       // The callback binds the scratch, not the request: scratches live as
       // long as the engine, so the producer thread can outlive this call.
       CallScratch* bound = &cs;
       cs.prefetcher = std::make_unique<BatchPrefetcher>(
           [this, bound](int index) { return AssembleChunk(*bound, index); },
-          cfg_.prefetch_depth);
+          kPrefetchDepth);
     }
+    prefetcher = cs.prefetcher.get();
     std::vector<int> order(num_chunks);
     std::iota(order.begin(), order.end(), 0);
-    cs.prefetcher->StartEpoch(std::move(order));
-    for (size_t c = 0; c < num_chunks; ++c) {
-      if (DeadlineExpired(opts)) {
-        // Between-chunk deadline enforcement: stop before the next forward
-        // (a chunk in progress finishes; its scores are discarded with the
-        // rest of the request).
-        cs.prefetcher->CancelEpoch();
-        deadline_failures_.fetch_add(1, std::memory_order_relaxed);
-        return Status::DeadlineExceeded(
-            "deadline expired after chunk " + std::to_string(c) + " of " +
-            std::to_string(num_chunks));
-      }
-      SubgraphBatch batch = cs.prefetcher->Next();
-      if (cs.assemble_failed.load(std::memory_order_acquire)) {
-        // `batch` is the empty carcass the failing AssembleChunk returned
-        // (or a later chunk's short-circuit) — nothing to recycle.
-        cs.prefetcher->CancelEpoch();
-        return assembly_error();
-      }
-      Status st =
-          ScoreAssembled(cs, batch, &(*out)[c * width], static_cast<int>(c));
-      cs.stacker.Recycle(std::move(batch));
-      if (!st.ok()) {
-        cs.prefetcher->CancelEpoch();
-        score_failures_.fetch_add(1, std::memory_order_relaxed);
-        return st;
-      }
-    }
-  } else {
+    prefetcher->StartEpoch(std::move(order));
+  }
+
+  for (size_t c = 0; c < num_chunks; ++c) {
+    Status st;
     if (DeadlineExpired(opts)) {
-      deadline_failures_.fetch_add(1, std::memory_order_relaxed);
-      return Status::DeadlineExceeded("deadline expired before scoring");
+      // Between-chunk deadline enforcement: stop before the next forward
+      // (a chunk in progress finishes; its scores are discarded with the
+      // rest of the request).
+      st = Status::DeadlineExceeded("deadline expired after chunk " +
+                                    std::to_string(c) + " of " +
+                                    std::to_string(num_chunks));
+    } else {
+      SubgraphBatch batch = prefetcher != nullptr
+                                ? prefetcher->Next()
+                                : AssembleChunk(cs, static_cast<int>(c));
+      if (cs.assemble_failed.load(std::memory_order_acquire)) {
+        // A chunk of this request failed to assemble: this one, or a later
+        // one already on the producer thread. Every score is discarded, so
+        // skip the forward. `batch` is dropped, not recycled: a failed
+        // chunk's is an empty batch the stacker never handed out.
+        st = cs.TakeAssembleError();
+      } else {
+        st = ScoreAssembled(cs, batch, out + c * width, static_cast<int>(c));
+        cs.stacker.Recycle(std::move(batch));
+      }
     }
-    SubgraphBatch batch = AssembleChunk(cs, 0);
-    if (cs.assemble_failed.load(std::memory_order_acquire)) {
-      return assembly_error();
-    }
-    Status st = ScoreAssembled(cs, batch, out->data(), 0);
-    cs.stacker.Recycle(std::move(batch));
     if (!st.ok()) {
-      score_failures_.fetch_add(1, std::memory_order_relaxed);
+      // Quiesce the producer before the lease returns the scratch.
+      if (prefetcher != nullptr) prefetcher->CancelEpoch();
+      std::atomic<uint64_t>& failures =
+          st.code() == StatusCode::kDeadlineExceeded ? deadline_failures_
+                                                     : score_failures_;
+      failures.fetch_add(1, std::memory_order_relaxed);
       return st;
     }
   }
-  targets_scored_.fetch_add(targets.size(), std::memory_order_relaxed);
+  targets_scored_.fetch_add(n, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -333,8 +267,9 @@ SubgraphBatch DetectionEngine::AssembleChunk(CallScratch& cs,
         static_cast<double>(obs::TraceNowNs() - asm_start) * 1e-6);
     return batch;
   } catch (const StatusError& e) {
-    // This runs on the prefetcher's producer thread, whose loop cannot
-    // survive a throw — convert to the scratch's error channel instead.
+    // This may run on the prefetcher's producer thread, whose loop cannot
+    // survive a throw — convert to the scratch's error channel instead
+    // (the inline path reads the same channel).
     cs.SetAssembleError(e.status());
   } catch (const std::exception& e) {
     cs.SetAssembleError(

@@ -7,10 +7,14 @@
 //   - per-target biased PPR subgraphs are assembled on demand through a
 //     bounded LRU SubgraphCache keyed by (target, graph version), so hot
 //     accounts skip PPR + top-k entirely;
-//   - batched requests are coalesced into fixed-width mini-batches and
-//     streamed through the training stack's BatchPrefetcher (assembly of
-//     batch i+1 — cache probes plus any misses — overlaps the forward pass
-//     over batch i);
+//   - every request — one account or many — takes one scoring path
+//     (ScoreTargets): it is cut into fixed-width mini-batch chunks, and for
+//     each chunk the engine checks the deadline, assembles the batch,
+//     runs the forward and counts any failure. A request of one chunk
+//     assembles inline on the calling thread; a request of several streams
+//     its chunks through the training stack's BatchPrefetcher, whose
+//     producer thread assembles chunk i+1 — cache probes plus any misses —
+//     while the caller runs the forward pass over chunk i;
 //   - every forward pass runs under a TensorArena scope, so serving
 //     inherits the zero-allocation hot path (warm requests run on pool
 //     hits);
@@ -39,23 +43,26 @@
 // batched scores — both are "the model's answer", for different batch
 // compositions.
 //
-// Thread-safety contract (since the concurrent serving front-end):
+// Thread-safety contract:
 //
-//   - ScoreOne / ScoreBatch / Stats are safe to call from any number of
-//     threads at once. Each call leases a pooled per-call scratch (chunk
-//     buffers, subgraph holds, a BatchStacker, and a lazily-built
-//     prefetcher bound to that scratch), so assembly — the expensive PPR +
-//     top-k part — runs genuinely in parallel across callers, coalesced
-//     through the cache's single-flight path. Engine counters are atomics
-//     and every per-scratch structure is internally locked, so Stats() is
-//     safe to poll from a monitoring thread mid-ScoreBatch.
+//   - the four scoring methods and Stats are safe to call from any number
+//     of threads at once. Each call leases a pooled per-call scratch
+//     (chunk buffers, subgraph holds, a BatchStacker, and a prefetcher
+//     bound to that scratch, built on its first multi-chunk request), so
+//     assembly — the expensive PPR + top-k part — runs genuinely in
+//     parallel across callers, coalesced through the cache's single-flight
+//     path. A scratch's producer thread works only inside a multi-chunk
+//     call (a failing call cancels its epoch first), so it is idle
+//     whenever the scratch is back on the free list. Engine counters are
+//     atomics and every per-scratch structure is internally locked, so
+//     Stats() is safe to poll from a monitoring thread mid-request.
 //   - Model forward passes are serialised on an internal mutex: Bsg4Bot's
 //     forward builds an autograd graph over shared parameter tensors and
 //     the util/parallel pool single-files parallel regions anyway, so the
 //     win from concurrency is overlapping one caller's forward with every
 //     other caller's assembly (and with coalesced cache misses).
-//   - SwapModel requires external quiescence: no ScoreOne/ScoreBatch may
-//     be in flight (ServingFrontend::SwapGraph provides exactly that
+//   - SwapModel requires external quiescence: no scoring call may be in
+//     flight (ServingFrontend::SwapGraph provides exactly that
 //     barrier). Stats/cache reads may continue during a swap.
 #pragma once
 
@@ -98,8 +105,6 @@ struct EngineConfig {
   /// w_small admission threshold (us per KiB): under byte pressure, builds
   /// measured cheaper than this are served but not cached. 0 = admit all.
   double cache_admit_cost_us = 0.0;
-  /// Batches in flight during batched scoring (2 = double buffer).
-  int prefetch_depth = 2;
   /// Version tag of the underlying graph at construction; SwapModel bumps
   /// it and purges stale cached subgraphs.
   uint64_t graph_version = 0;
@@ -143,8 +148,9 @@ struct Score {
 
 /// Cumulative engine counters (a coherent snapshot of atomics).
 struct EngineStats {
-  uint64_t single_requests = 0;  ///< ScoreOne calls
-  uint64_t batch_requests = 0;   ///< ScoreBatch calls
+  /// Calls, counted at entry whatever their outcome.
+  uint64_t single_requests = 0;  ///< ScoreOne / TryScoreOne calls
+  uint64_t batch_requests = 0;   ///< ScoreBatch / TryScoreBatch calls
   uint64_t targets_scored = 0;   ///< accounts scored, both paths
   uint64_t batches_run = 0;      ///< forward passes executed
   /// TryScore* calls that returned non-OK, split by cause.
@@ -178,25 +184,21 @@ class DetectionEngine {
   DetectionEngine(const DetectionEngine&) = delete;
   DetectionEngine& operator=(const DetectionEngine&) = delete;
 
-  /// Scores one account (a batch of one). Latency path. Thread-safe.
-  /// Throws StatusError on failure (injected or real); use TryScoreOne for
-  /// the Status-returning form.
+  /// Throwing forms of TryScoreOne / TryScoreBatch with no options:
+  /// StatusError on failure (injected or real). Thread-safe.
   Score ScoreOne(int target);
-
-  /// Scores a list of accounts, coalesced into batch_size mini-batches and
-  /// streamed through a per-call prefetcher. Throughput path; results
-  /// align with `targets`. Thread-safe. Throws StatusError on failure.
   std::vector<Score> ScoreBatch(const std::vector<int>& targets);
 
   /// Status-returning scoring: the serving front-end's entry points, where
   /// failures are routine (retried, degraded, or surfaced) rather than
-  /// exceptional. On success `*out` aligns with the targets; on failure
-  /// its contents are unspecified and must be discarded. A deadline in
-  /// `opts` is checked before every chunk (kDeadlineExceeded); transient
+  /// exceptional. TryScoreOne is a request of one target, so it always
+  /// assembles inline; TryScoreBatch streams through the producer thread
+  /// when `targets` spans more than one chunk. On success `*out` aligns
+  /// with the targets; on failure its contents are unspecified and must
+  /// be discarded. A deadline in `opts` is checked before every chunk
+  /// (kDeadlineExceeded, "deadline expired after chunk c of n"); transient
   /// assembly/forward failures come back as their taxonomy code
-  /// (kUnavailable is the retryable one). The fault-free success path is
-  /// computationally identical to ScoreBatch/ScoreOne — logits stay
-  /// bit-identical. Thread-safe.
+  /// (kUnavailable is the retryable one). Thread-safe.
   Status TryScoreBatch(const std::vector<int>& targets,
                        const ScoreOptions& opts, std::vector<Score>* out);
   Status TryScoreOne(int target, const ScoreOptions& opts, Score* out);
@@ -208,7 +210,7 @@ class DetectionEngine {
   /// inference-ready, share the architecture (relation count; training
   /// batch width when EngineConfig::batch_size == 0), and outlive the
   /// engine; `graph_version` must be strictly greater than the current
-  /// one. The caller must guarantee no ScoreOne/ScoreBatch is in flight —
+  /// one. The caller must guarantee no scoring call is in flight —
   /// ServingFrontend::SwapGraph wraps this with the worker-drain barrier.
   void SwapModel(Bsg4Bot* model, uint64_t graph_version);
 
@@ -270,11 +272,16 @@ class DetectionEngine {
 
   CallScratch* AcquireScratch();
   void ReleaseScratch(CallScratch* scratch);
+  /// The one scoring path behind all four public methods (see the file
+  /// comment): a chunk loop over `targets` writing `out[0..n)`.
+  Status ScoreTargets(const int* targets, size_t n, const ScoreOptions& opts,
+                      Score* out);
   /// Assembles one mini-batch of the scratch's in-flight request through
-  /// the cache. Runs on the scratch's prefetcher producer thread (or the
-  /// caller, single-chunk requests). Never throws: failures are recorded
-  /// on the scratch (SetAssembleError) and an empty batch is returned,
-  /// because the producer loop cannot survive an exception.
+  /// the cache. Runs on the scratch's producer thread (multi-chunk
+  /// requests) or the caller (single-chunk requests). Never throws:
+  /// failures are recorded on the scratch (SetAssembleError) and an empty
+  /// batch is returned, because the producer loop cannot survive an
+  /// exception.
   SubgraphBatch AssembleChunk(CallScratch& cs, int chunk_index);
   /// Forward pass + logit unpacking for one assembled batch. Serialised on
   /// forward_mu_. Returns non-OK (without touching `out`) when the

@@ -12,6 +12,15 @@ namespace bsg {
 
 namespace {
 
+/// EWMA smoothing of the cost estimate: new = a*observed + (1-a)*old.
+constexpr double kCostEwmaAlpha = 0.2;
+/// Seeds the per-worker backoff jitter streams (deterministic given the
+/// worker index).
+constexpr uint64_t kRetryJitterSeed = 0x5EED5EEDULL;
+/// Bound on the stale-score map that backs degraded serving (targets
+/// beyond it degrade to the neutral fallback score).
+constexpr size_t kStaleScoreCapacity = 4096;
+
 /// Trace status labels, aligned with RequestStatus (exported in trace
 /// JSON; the CI smoke and tests match on these strings).
 const char* StatusLabel(RequestStatus status) {
@@ -60,8 +69,6 @@ ServingFrontend::ServingFrontend(DetectionEngine* engine, FrontendConfig cfg)
     : engine_(engine), cfg_(cfg), queue_(cfg.queue_capacity) {
   BSG_CHECK(engine != nullptr, "null engine");
   BSG_CHECK(cfg_.workers >= 0, "negative worker count");
-  BSG_CHECK(cfg_.cost_ewma_alpha > 0.0 && cfg_.cost_ewma_alpha <= 1.0,
-            "cost_ewma_alpha must be in (0, 1]");
   BSG_CHECK(cfg_.max_retries >= 0, "negative max_retries");
   BSG_CHECK(cfg_.retry_backoff_ms >= 0.0, "negative retry_backoff_ms");
   BSG_CHECK(cfg_.breaker_threshold >= 0, "negative breaker_threshold");
@@ -223,7 +230,7 @@ std::future<FrontendResult> ServingFrontend::SubmitInternal(
 void ServingFrontend::WorkerLoop(int worker_index) {
   // Per-worker jitter stream: deterministic given (seed, worker index), no
   // cross-worker synchronisation.
-  Rng jitter(cfg_.retry_jitter_seed +
+  Rng jitter(kRetryJitterSeed +
              0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(worker_index + 1));
   while (std::optional<Request> req = queue_.Pop()) {
     {
@@ -472,7 +479,7 @@ void ServingFrontend::UpdateStaleScores(const std::vector<Score>& scores) {
     auto it = stale_scores_.find(s.target);
     if (it != stale_scores_.end()) {
       it->second = s;
-    } else if (stale_scores_.size() < cfg_.stale_score_capacity) {
+    } else if (stale_scores_.size() < kStaleScoreCapacity) {
       stale_scores_.emplace(s.target, s);
     }
   }
@@ -483,8 +490,8 @@ void ServingFrontend::ObserveCost(double ms_per_target) {
   std::lock_guard<std::mutex> lock(cost_mu_);
   ms_per_target_ = ms_per_target_ == 0.0
                        ? ms_per_target
-                       : cfg_.cost_ewma_alpha * ms_per_target +
-                             (1.0 - cfg_.cost_ewma_alpha) * ms_per_target_;
+                       : kCostEwmaAlpha * ms_per_target +
+                             (1.0 - kCostEwmaAlpha) * ms_per_target_;
 }
 
 double ServingFrontend::CostEstimate() const {

@@ -1,10 +1,9 @@
 // Concurrent serving front-end: worker pool + bounded queue + admission
 // control + hot graph swap over a DetectionEngine.
 //
-// Every BENCH number before PR 7 drove the engine from a single front-end
-// thread. The cache's single-flight misses, the sharded buffer pool and
-// the per-call engine scratch exist precisely so N workers can score at
-// once — this class is the component that actually does it:
+// The cache's single-flight misses, the sharded buffer pool and the
+// per-call engine scratch exist so N workers can score at once — this
+// class is the component that actually does it:
 //
 //   - requests (one account, or a batch of accounts) enter a bounded MPMC
 //     queue and resolve through a std::future<FrontendResult>; a pool of
@@ -22,9 +21,10 @@
 //     RequestStatus::kShed + a kResourceExhausted detail. Sheds are
 //     counted per cause (shed_queue_full / shed_latency / shed_resource)
 //     next to queue_depth_peak;
-//   - the per-target cost estimate is an EWMA of observed service time,
-//     seeded by FrontendConfig::initial_ms_per_target (freeze_cost_model
-//     pins it, making shed decisions exactly reproducible in tests);
+//   - the per-target cost estimate is an EWMA (alpha 0.2) of observed
+//     service time, seeded by FrontendConfig::initial_ms_per_target
+//     (freeze_cost_model pins it, making shed decisions exactly
+//     reproducible in tests);
 //   - SwapGraph(model, version) is the hot-swap barrier: the caller loads
 //     and restores graph v+1 (minutes of work) while workers keep serving
 //     v; the flip itself stops dispatch, waits for in-flight requests to
@@ -37,7 +37,7 @@
 //     explicitly with RequestStatus::kClosed, and joins the workers; every
 //     submitted future always resolves.
 //
-// Failure semantics (PR 8 — see README "Failure semantics"):
+// Failure semantics (see README "Failure semantics"):
 //
 //   - per-request deadlines: Submit(targets, deadline_ms) stamps an
 //     absolute deadline; it is enforced when a worker dequeues the request
@@ -51,10 +51,11 @@
 //   - circuit breaker: breaker_threshold consecutive terminal engine
 //     failures trip the front-end into degraded mode — requests bypass the
 //     engine and resolve kDegraded with the last known scores of their
-//     targets (a bounded stale-score map) or a neutral fallback score,
-//     never an error. After breaker_open_ms one probe request is let
-//     through (half-open); success closes the breaker, failure re-opens
-//     it. Degradation trades freshness for availability, explicitly;
+//     targets (a stale-score map bounded at 4096 targets) or a neutral
+//     fallback score, never an error. After breaker_open_ms one probe
+//     request is let through (half-open); success closes the breaker,
+//     failure re-opens it. Degradation trades freshness for availability,
+//     explicitly;
 //   - conservation (extended): every submitted request resolves exactly
 //     once, so after Close
 //       submitted == served + shed + closed + timed_out + failed + degraded
@@ -65,8 +66,8 @@
 // (engine contract), so any worker count — and any interleaving — yields
 // logits bit-identical to a serial DetectionEngine scoring the same
 // request stream (asserted at workers 1/2/4 in tests/test_frontend.cc).
-// The fault-free path with deadlines/retries/breaker left at their
-// defaults is computationally identical to PR 7.
+// Deadlines, retries and the breaker never change the logits of a request
+// that is served.
 #pragma once
 
 #include <chrono>
@@ -133,10 +134,8 @@ struct FrontendConfig {
   /// Pin the cost estimate to initial_ms_per_target (reproducible
   /// admission decisions; tests).
   bool freeze_cost_model = false;
-  /// EWMA smoothing of the cost estimate: new = a*observed + (1-a)*old.
-  double cost_ewma_alpha = 0.2;
 
-  // --- failure-semantics knobs (PR 8) ---
+  // --- failure-semantics knobs ---
 
   /// Deadline stamped on requests submitted without an explicit one, in
   /// milliseconds from submission. <= 0 = no default deadline.
@@ -146,17 +145,11 @@ struct FrontendConfig {
   /// Base of the jittered exponential backoff between retries:
   /// backoff(attempt k) = retry_backoff_ms * 2^(k-1) * U[0.5, 1.5).
   double retry_backoff_ms = 0.5;
-  /// Seeds the per-worker backoff jitter streams (deterministic given the
-  /// worker index).
-  uint64_t retry_jitter_seed = 0x5EED5EEDULL;
   /// Consecutive terminal engine failures that trip the circuit breaker.
   /// 0 disables the breaker (failures surface as kFailed, never degraded).
   int breaker_threshold = 0;
   /// How long the breaker stays open before letting one probe through.
   double breaker_open_ms = 50.0;
-  /// Bound on the stale-score map that backs degraded serving (targets
-  /// beyond it degrade to the neutral fallback score).
-  size_t stale_score_capacity = 4096;
 };
 
 /// Cumulative front-end counters. Requests in flight at snapshot time are
@@ -349,8 +342,8 @@ class ServingFrontend {
   Clock::time_point breaker_opened_at_{};
 
   // Stale scores for degraded serving: last fresh Score per target,
-  // bounded by cfg_.stale_score_capacity (inserts beyond it are dropped —
-  // those targets degrade to the fallback score).
+  // bounded by kStaleScoreCapacity in frontend.cc (inserts beyond it are
+  // dropped — those targets degrade to the fallback score).
   std::mutex stale_mu_;
   std::unordered_map<int, Score> stale_scores_;
 

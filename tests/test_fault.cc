@@ -474,8 +474,12 @@ TEST(FaultEngine, ExpiredDeadlineFailsBeforeScoring) {
   Score one;
   EXPECT_EQ(engine.TryScoreOne(pool[0], expired, &one).code(),
             StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(engine.Stats().deadline_failures, 2u);
-  EXPECT_EQ(engine.Stats().targets_scored, 0u);
+  const EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.deadline_failures, 2u);
+  EXPECT_EQ(stats.targets_scored, 0u);
+  // Request counters count calls at entry, whatever the outcome.
+  EXPECT_EQ(stats.single_requests, 1u);
+  EXPECT_EQ(stats.batch_requests, 1u);
 }
 
 TEST(FaultEngine, DeadlineExpiresBetweenChunks) {
@@ -509,6 +513,48 @@ TEST(FaultEngine, DeadlineExpiresBetweenChunks) {
   // run of the same list succeeds.
   ASSERT_TRUE(engine.TryScoreBatch(targets, ScoreOptions::None(), &out).ok());
   ASSERT_EQ(out.size(), targets.size());
+}
+
+TEST(FaultEngine, BuildFaultOnProducerThreadFailsTheRequest) {
+  FaultGuard guard;
+  FaultInjector& inj = FaultInjector::Global();
+  Bsg4Bot& model = FaultTestModel();  // trained before the fault is armed
+  DetectionEngine engine(&model, EngineConfig{});
+  ASSERT_EQ(engine.batch_size(), 16);
+  // 48 distinct cold targets = 3 chunks, so chunks stream through the
+  // scratch's producer thread. Build 20 is the 4th target of chunk 2.
+  std::vector<int> targets(48);
+  for (int i = 0; i < 48; ++i) targets[static_cast<size_t>(i)] = i;
+
+  ASSERT_TRUE(inj.Configure("subgraph.build:nth=20").ok());
+  std::vector<Score> out;
+  Status st = engine.TryScoreBatch(targets, ScoreOptions::None(), &out);
+  inj.Disarm();
+  EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
+  EXPECT_NE(st.message().find("centre " + std::to_string(targets[19])),
+            std::string::npos)
+      << st.ToString();
+  EngineStats stats = engine.Stats();
+  // Chunk 1 may or may not have reached its forward before the consumer
+  // saw chunk 2's failure; chunk 3 never does.
+  EXPECT_LE(stats.batches_run, 1u);
+  EXPECT_EQ(stats.score_failures, 1u);
+  EXPECT_EQ(stats.deadline_failures, 0u);
+  EXPECT_EQ(stats.targets_scored, 0u);
+
+  // Disarmed, the same request on the same engine succeeds, bit-identical
+  // to the oracle: the failure left nothing behind in the scratch.
+  ASSERT_TRUE(engine.TryScoreBatch(targets, ScoreOptions::None(), &out).ok());
+  const Matrix oracle = model.PredictLogits(targets);
+  ASSERT_EQ(out.size(), targets.size());
+  for (size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(out[i].target, targets[i]) << i;
+    EXPECT_EQ(out[i].logit_human, oracle(static_cast<int>(i), 0)) << i;
+    EXPECT_EQ(out[i].logit_bot, oracle(static_cast<int>(i), 1)) << i;
+  }
+  stats = engine.Stats();
+  EXPECT_EQ(stats.score_failures, 1u);
+  EXPECT_EQ(stats.targets_scored, targets.size());
 }
 
 TEST(FaultEngine, FaultFreeTryPathMatchesThrowingPathBitwise) {

@@ -1,7 +1,14 @@
 // DetectionEngine: batched scores bit-identical to PredictLogits, on-demand
 // cache-backed subgraph assembly (no precomputed store), warm-cache hit
-// rate, the startup pool-Trim policy, and single-target scoring.
+// rate, the startup pool-Trim policy, single-target scoring, a randomised
+// differential check of the one scoring path across chunk-boundary request
+// lengths, and concurrent callers sharing one engine.
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,6 +17,7 @@
 #include "serve/engine.h"
 #include "test_common.h"
 #include "util/buffer_pool.h"
+#include "util/rng.h"
 
 namespace bsg {
 namespace {
@@ -27,6 +35,28 @@ Bsg4BotConfig EngineModelConfig() {
   cfg.min_epochs = 3;
   cfg.seed = 21;
   return cfg;
+}
+
+// Bitwise double equality (distinguishes -0.0 from 0.0, unlike ==).
+bool SameDouble(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool SameLogits(const Score& a, const Score& b) {
+  return a.target == b.target && SameDouble(a.logit_human, b.logit_human) &&
+         SameDouble(a.logit_bot, b.logit_bot);
+}
+
+// `len` distinct node ids in random order (a partial Fisher-Yates shuffle).
+std::vector<int> DrawTargets(Rng& rng, int num_nodes, size_t len) {
+  std::vector<int> ids(static_cast<size_t>(num_nodes));
+  std::iota(ids.begin(), ids.end(), 0);
+  for (size_t i = 0; i < len; ++i) {
+    const size_t j = i + rng.UniformInt(ids.size() - i);
+    std::swap(ids[i], ids[j]);
+  }
+  ids.resize(len);
+  return ids;
 }
 
 // One trained model per binary; every test builds its own engine on top.
@@ -159,6 +189,119 @@ TEST(DetectionEngine, ServingForwardPassesRecycleThroughThePool) {
   // The zero-allocation hot path carries over to serving: warm forward
   // passes run almost entirely on pool hits.
   EXPECT_GE(stats.PoolHitRate(), 0.45);
+}
+
+TEST(DetectionEngine, RandomisedRequestsMatchPredictLogitsBitwise) {
+  Bsg4Bot& model = TrainedModel();
+  const int num_nodes = SmallGraph().num_nodes;
+  DetectionEngine engine(&model, EngineConfig{});
+  const size_t w = static_cast<size_t>(engine.batch_size());
+  for (uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    // Chunk-boundary lengths around the width, then k*w + r (k >= 2, r in
+    // [1, w)) for a request that streams several chunks plus a ragged one.
+    const size_t k = 2 + rng.UniformInt(2);
+    const size_t r = 1 + rng.UniformInt(w - 1);
+    for (size_t len : {size_t{1}, w - 1, w, w + 1, k * w + r}) {
+      SCOPED_TRACE("length " + std::to_string(len));
+      const std::vector<int> targets = DrawTargets(rng, num_nodes, len);
+      const Matrix oracle = model.PredictLogits(targets);
+      std::vector<Score> batch;
+      ASSERT_TRUE(
+          engine.TryScoreBatch(targets, ScoreOptions::None(), &batch).ok());
+      ASSERT_EQ(batch.size(), len);
+      for (size_t i = 0; i < len; ++i) {
+        const int row = static_cast<int>(i);
+        EXPECT_EQ(batch[i].target, targets[i]) << i;
+        EXPECT_TRUE(SameDouble(batch[i].logit_human, oracle(row, 0))) << i;
+        EXPECT_TRUE(SameDouble(batch[i].logit_bot, oracle(row, 1))) << i;
+      }
+      // A single-target call is a request of one chunk of one: it must
+      // agree bitwise with the batch path given the same composition.
+      for (int t : targets) {
+        Score one;
+        std::vector<Score> of_one;
+        ASSERT_TRUE(engine.TryScoreOne(t, ScoreOptions::None(), &one).ok());
+        ASSERT_TRUE(
+            engine.TryScoreBatch({t}, ScoreOptions::None(), &of_one).ok());
+        ASSERT_EQ(of_one.size(), 1u);
+        EXPECT_TRUE(SameLogits(one, of_one[0])) << "target " << t;
+      }
+    }
+  }
+}
+
+TEST(DetectionEngine, ConcurrentCallersMatchSerialResultsBitwise) {
+  Bsg4Bot& model = TrainedModel();
+  const std::vector<int>& pool = SmallGraph().test_idx;
+  const size_t w = static_cast<size_t>(model.config().batch_size);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  constexpr size_t kSingles = 6;
+  // Per thread: a multi-chunk batch (2 full chunks + a ragged one) starting
+  // at a thread-specific offset, so the threads' targets overlap and their
+  // cold misses coalesce in the shared cache.
+  std::vector<std::vector<int>> batches(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < 2 * w + 5; ++i) {
+      batches[static_cast<size_t>(t)].push_back(
+          pool[(static_cast<size_t>(t) * 11 + i) % pool.size()]);
+    }
+  }
+
+  // Serial reference on its own engine.
+  std::vector<std::vector<Score>> want_batch(kThreads);
+  std::vector<std::vector<Score>> want_one(kThreads);
+  {
+    DetectionEngine serial(&model, EngineConfig{});
+    for (int t = 0; t < kThreads; ++t) {
+      const std::vector<int>& b = batches[static_cast<size_t>(t)];
+      want_batch[static_cast<size_t>(t)] = serial.ScoreBatch(b);
+      for (size_t i = 0; i < kSingles; ++i) {
+        want_one[static_cast<size_t>(t)].push_back(serial.ScoreOne(b[i]));
+      }
+    }
+  }
+
+  DetectionEngine engine(&model, EngineConfig{});
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<int> errors(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const size_t ti = static_cast<size_t>(t);
+      const std::vector<int>& b = batches[ti];
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<Score> got;
+        if (!engine.TryScoreBatch(b, ScoreOptions::None(), &got).ok()) {
+          ++errors[ti];
+          continue;
+        }
+        for (size_t i = 0; i < got.size(); ++i) {
+          if (!SameLogits(got[i], want_batch[ti][i])) ++mismatches[ti];
+        }
+        for (size_t i = 0; i < kSingles; ++i) {
+          Score one;
+          if (!engine.TryScoreOne(b[i], ScoreOptions::None(), &one).ok()) {
+            ++errors[ti];
+          } else if (!SameLogits(one, want_one[ti][i])) {
+            ++mismatches[ti];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(errors[static_cast<size_t>(t)], 0) << "thread " << t;
+    EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
+  }
+  const EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.batch_requests, static_cast<uint64_t>(kThreads * kRounds));
+  EXPECT_EQ(stats.single_requests,
+            static_cast<uint64_t>(kThreads * kRounds) * kSingles);
+  EXPECT_EQ(stats.score_failures + stats.deadline_failures, 0u);
 }
 
 }  // namespace
