@@ -18,12 +18,15 @@
 #    (worker pool, shed accounting, hot swap, Stats polling), the fault
 #    injector's armed paths, the sharded metrics instruments / trace
 #    recorder and the governor's charge/watermark machinery fail CI,
-#    followed by a timeout-wrapped chaos soak (fault injection armed at
-#    every serving site; the timeout is part of the assertion — a lost
-#    wakeup or an unresolved future under faults hangs)
-# 4. smoke runs of bench_parallel_scaling, bench_async_pipeline and the
-#    scripts/bench.sh JSON emitter at small sizes (bench_pr5_assembly
-#    asserts zero warm-call heap allocations in the PPR workspace)
+#    followed by a timeout-wrapped chaos soak (faults armed at the four
+#    serving-path sites frontend.push, subgraph.build, cache.fill and
+#    engine.forward, each asserted to fire; the timeout is part of the
+#    assertion — a lost wakeup or an unresolved future under faults hangs)
+# 4. smoke runs of bench_parallel_scaling and bench_async_pipeline at small
+#    sizes, then `perfbench/run.py --quick`: the canonical benchmark's
+#    correctness checks (zero warm allocations in the PPR workspace and
+#    batch stacker, f32 parity, front-end conservation and bit-identity at
+#    1 and 4 workers), built in its own tree (see perfbench/README.md)
 # 5. serve smoke: train a tiny model, save a checkpoint, load it in a fresh
 #    process, score the test split through the DetectionEngine and diff the
 #    JSON-lines output (logits at %.17g) against the in-memory model's —
@@ -100,7 +103,7 @@ TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
 TSAN_OPTIONS="halt_on_error=1" BSG_NUM_THREADS=4 \
   "$TSAN_BUILD_DIR/test_resource_governor"
 
-echo "=== chaos soak (faults armed at every serving site, timeout-wrapped) ==="
+echo "=== chaos soak (four serving sites armed, timeout-wrapped) ==="
 timeout 300 "$BUILD_DIR/test_fault"
 timeout 300 env BSG_NUM_THREADS=4 "$BUILD_DIR/test_frontend" \
   --gtest_filter='ServingFrontendFaults.*'
@@ -112,8 +115,8 @@ echo "=== bench_parallel_scaling smoke (--threads=2) ==="
 echo "=== bench_async_pipeline smoke (--threads=2) ==="
 "$BUILD_DIR/bench/bench_async_pipeline" --threads=2 --users=300 --epochs=3
 
-echo "=== scripts/bench.sh smoke (JSON perf emitter) ==="
-scripts/bench.sh --smoke "$BUILD_DIR"
+echo "=== perfbench quick check (canonical benchmark's correctness checks) ==="
+python3 perfbench/run.py --quick
 
 echo "=== serve smoke (train -> checkpoint -> serve -> diff logits) ==="
 SERVE_TMP="$(mktemp -d)"

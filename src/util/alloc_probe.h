@@ -3,9 +3,9 @@
 //
 // IMPORTANT: this header DEFINES the replaceable global allocation
 // functions — include it from AT MOST ONE translation unit per binary
-// (test_ppr_workspace.cc and bench_pr5_assembly.cc each do), and never
-// from library code. The counter is thread-local, so a measurement on one
-// thread is immune to allocations made by pool or producer threads.
+// (test_ppr_workspace.cc and perfbench/src/quick_check.cc each do), and
+// never from library code. The counter is thread-local, so a measurement
+// on one thread is immune to allocations made by pool or producer threads.
 #pragma once
 
 #include <cstdint>

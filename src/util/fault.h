@@ -3,9 +3,9 @@
 // Production code marks its trust boundaries with BSG_FAULT("site.name")
 // — checkpoint IO, subgraph builds, cache fills, queue pushes, forward
 // passes. Disarmed (the default), the macro is one relaxed atomic load and
-// a predicted-not-taken branch, so the hooks are free on the warm path
-// (measured in BENCH_pr8.json). Armed via FaultInjector::Configure with a
-// spec string, each evaluation of a site consults its trigger:
+// a predicted-not-taken branch, so the hooks are free on the warm path.
+// Armed via FaultInjector::Configure with a spec string, each evaluation
+// of a site consults its trigger:
 //
 //   spec    :=  entry (';' entry)*
 //   entry   :=  site ':' field (',' field)*

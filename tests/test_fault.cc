@@ -176,6 +176,26 @@ TEST(FaultTrigger, DisarmedMacroNeverFires) {
   EXPECT_EQ(inj.evaluations(fault::kCacheFill), 0u);
 }
 
+TEST(FaultTrigger, ArmedSpecNeverFiresOtherSites) {
+  FaultGuard guard;
+  FaultInjector& inj = FaultInjector::Global();
+  ASSERT_TRUE(inj.Configure("ckpt.read.open:nth=1").ok());
+  // Armed elsewhere, every check of this site takes the slow path into the
+  // injector, finds no trigger for it and must report no fault.
+  constexpr uint64_t kEvals = 10000;
+  uint64_t fired = 0;
+  for (uint64_t i = 0; i < kEvals; ++i) {
+    if (BSG_FAULT(fault::kEngineForward)) ++fired;
+  }
+  EXPECT_EQ(fired, 0u);
+  EXPECT_EQ(inj.evaluations(fault::kEngineForward), kEvals);
+  EXPECT_EQ(inj.fires(fault::kEngineForward), 0u);
+  // The armed site itself is untouched by those checks: its first
+  // evaluation is still the one that fires.
+  EXPECT_EQ(inj.evaluations(fault::kCkptReadOpen), 0u);
+  EXPECT_TRUE(inj.Evaluate(fault::kCkptReadOpen));
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint sites + crash safety
 // ---------------------------------------------------------------------------

@@ -582,14 +582,20 @@ TEST(ServingFrontendFaults, ChaosSoakConservesEveryRequestExactly) {
   ServingFrontend frontend(&engine, cfg);
   const std::vector<int>& pool = SmallGraph().test_idx;
 
-  // Faults at every serving-path trust boundary at once, probabilistic and
-  // deterministic given the seed.
+  // Faults at four serving-path trust boundaries at once, probabilistic and
+  // deterministic given the seed. A site's fire pattern depends only on
+  // (seed, site, evaluation index): at this seed each site first fires
+  // within its first 51 evaluations, and every site is evaluated about 100
+  // times per soak, so each armed site is certain to fire.
   ASSERT_TRUE(FaultInjector::Global()
                   .Configure(
                       "frontend.push:p=0.08;subgraph.build:p=0.03;"
-                      "cache.fill:p=0.03;engine.forward:p=0.06",
+                      "cache.fill:p=0.05;engine.forward:p=0.06",
                       /*seed=*/1234)
                   .ok());
+  const char* const kArmedSites[] = {fault::kFrontendPush,
+                                     fault::kSubgraphBuild,
+                                     fault::kCacheFill, fault::kEngineForward};
 
   constexpr int kClients = 4;
   constexpr int kPerClient = 30;
@@ -621,6 +627,12 @@ TEST(ServingFrontendFaults, ChaosSoakConservesEveryRequestExactly) {
   }
   for (std::thread& t : clients) t.join();
   frontend.Close();
+  // Every armed site was reached and actually injected: a soak whose
+  // faults never fire proves nothing about them.
+  for (const char* site : kArmedSites) {
+    EXPECT_GT(FaultInjector::Global().evaluations(site), 0u) << site;
+    EXPECT_GT(FaultInjector::Global().fires(site), 0u) << site;
+  }
   FaultInjector::Global().Disarm();
 
   // Exact conservation, and the stats agree with what the clients saw —
@@ -639,14 +651,24 @@ TEST(ServingFrontendFaults, ChaosSoakConservesEveryRequestExactly) {
                 stats.degraded_requests + stats.retries,
             0u);
 
-  // Disarmed, the same front-end config serves fault-free bit-identically
-  // to the serial oracle — the robustness layer leaves no residue.
+  // Disarmed, the same front-end config plus a deadline serves fault-free
+  // bit-identically to the serial oracle, and no request takes a failure
+  // path — the robustness layer leaves no residue.
   DetectionEngine clean_engine(&model, EngineConfig{});
-  ServingFrontend clean(&clean_engine, cfg);
+  FrontendConfig clean_cfg = cfg;
+  clean_cfg.default_deadline_ms = 60'000.0;
+  ServingFrontend clean(&clean_engine, clean_cfg);
   const std::vector<int> targets(pool.begin(), pool.begin() + 16);
   DetectionEngine oracle_engine(&model, EngineConfig{});
-  ExpectSameScores(clean.ScoreBatch(targets).scores,
-                   oracle_engine.ScoreBatch(targets));
+  FrontendResult clean_res = clean.ScoreBatch(targets);
+  EXPECT_EQ(clean_res.status, RequestStatus::kOk);
+  ExpectSameScores(clean_res.scores, oracle_engine.ScoreBatch(targets));
+  const FrontendStats clean_stats = clean.Stats();
+  EXPECT_EQ(clean_stats.served_requests, 1u);
+  EXPECT_EQ(clean_stats.retries, 0u);
+  EXPECT_EQ(clean_stats.shed_requests + clean_stats.timed_out_requests +
+                clean_stats.failed_requests + clean_stats.degraded_requests,
+            0u);
 }
 
 // --- memory-bounded serving (PR 10): governor budgets at admission --------
@@ -741,6 +763,9 @@ TEST(ServingFrontendMemory, PressureChaosSoakConservesAndRecovers) {
   ASSERT_TRUE(FaultInjector::Global()
                   .Configure("governor.charge:p=0.15", /*seed=*/77)
                   .ok());
+  // The governor's counters are process-wide; the soak is judged on what
+  // it adds to them.
+  const ResourceGovernorStats before = gov.Stats();
 
   constexpr int kClients = 4;
   constexpr int kPerClient = 25;
@@ -780,6 +805,9 @@ TEST(ServingFrontendMemory, PressureChaosSoakConservesAndRecovers) {
   EXPECT_EQ(stats.failed_requests, failed.load());
   EXPECT_EQ(stats.degraded_requests, degraded.load());
   ExpectConservation(stats);
+  // No deadline and no breaker: pressure can only serve, shed or fail.
+  EXPECT_EQ(stats.timed_out_requests, 0u);
+  EXPECT_EQ(stats.degraded_requests, 0u);
   // The injected refusals actually shed traffic through the new bucket...
   EXPECT_GT(stats.shed_resource, 0u);
   EXPECT_EQ(stats.shed_requests,
@@ -788,6 +816,16 @@ TEST(ServingFrontendMemory, PressureChaosSoakConservesAndRecovers) {
   EXPECT_EQ(QueueAccountResident(), 0u);
   ResourceGovernorStats gs = gov.Stats();
   EXPECT_GT(gs.injected_refusals, 0u);
+  // ...and the soak reached real pressure, not only injected refusals: it
+  // crossed both watermarks, ran reclaim, and the hard watermark refused
+  // charges of its own. Recoveries are not asserted: the SetBudget(0)
+  // below resets the level without counting one, so a soak that ends
+  // under pressure legitimately reads zero.
+  EXPECT_GE(gs.soft_transitions - before.soft_transitions, 1u);
+  EXPECT_GE(gs.hard_transitions - before.hard_transitions, 1u);
+  EXPECT_GE(gs.reclaim_invocations - before.reclaim_invocations, 1u);
+  EXPECT_GT(gs.refusals - before.refusals,
+            gs.injected_refusals - before.injected_refusals);
 
   // Recovery: disarm the budget and the same model serves bit-identically
   // to the unconstrained serial oracle — pressure leaves no residue.

@@ -4,13 +4,17 @@
 // truncation counting, bounded completed ring, bounded live slots), and —
 // the end-to-end contract — a retried-then-served request traced through
 // the real ServingFrontend + DetectionEngine shows every pipeline stage
-// with span durations summing to at most the request's e2e latency. The
-// TSan CI stage runs this binary.
+// with span durations summing to at most the request's e2e latency, and
+// fully traced concurrent serving stays bit-identical to the serial engine
+// with conservation re-derivable from one registry snapshot. The TSan CI
+// stage runs this binary.
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/bsg4bot.h"
+#include "obs/adapters.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/frontend.h"
@@ -289,6 +293,103 @@ TEST(TraceIntegration, RetriedRequestShowsEveryStageAndSpansFitE2e) {
       snap.FindHistogram(obs::metric::kRequestLatencyMs);
   ASSERT_NE(lat, nullptr);
   EXPECT_GE(lat->count, 1u);
+}
+
+TEST(TraceIntegration, FullySampledConcurrentServingIsExactAndConserved) {
+  TracerGuard tracer_guard;
+  Bsg4Bot& model = TrainedModel();
+  const std::vector<int>& pool = SmallGraph().test_idx;
+
+  // Twelve requests of 1-40 targets (one- and multi-chunk) and their
+  // serial engine oracle.
+  std::vector<std::vector<int>> requests;
+  size_t next = 0;
+  for (size_t size : {40, 1, 16, 7, 1, 24, 3, 17, 1, 32, 5, 9}) {
+    std::vector<int> req;
+    for (size_t k = 0; k < size; ++k) req.push_back(pool[next++ % pool.size()]);
+    requests.push_back(std::move(req));
+  }
+  std::vector<std::vector<Score>> oracle;
+  {
+    DetectionEngine engine(&model, EngineConfig{});
+    for (const std::vector<int>& req : requests) {
+      oracle.push_back(engine.ScoreBatch(req));
+    }
+  }
+
+  // Every failure-semantics knob on, every request traced, the front-end
+  // bridged into the registry: none of it may change a logit.
+  DetectionEngine engine(&model, EngineConfig{});
+  FrontendConfig cfg;
+  cfg.workers = 2;
+  cfg.queue_capacity = requests.size();
+  cfg.default_deadline_ms = 60'000.0;
+  cfg.max_retries = 2;
+  cfg.breaker_threshold = 4;
+  ServingFrontend frontend(&engine, cfg);
+  const obs::GaugeRegistration gauges = obs::RegisterFrontendMetrics(&frontend);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const obs::RegistrySnapshot snap_before = registry.Snapshot();
+  const obs::HistogramSnapshot* lat_before =
+      snap_before.FindHistogram(obs::metric::kRequestLatencyMs);
+  const uint64_t lat_count_before = lat_before ? lat_before->count : 0;
+  Tracer::Global().Enable(/*sample_every=*/1, /*ring_capacity=*/64,
+                          /*max_live=*/32);
+
+  constexpr size_t kClients = 4;
+  std::vector<std::vector<Score>> got(requests.size());
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t r = c; r < requests.size(); r += kClients) {
+        FrontendResult res = frontend.Submit(requests[r]).get();
+        ASSERT_EQ(res.status, RequestStatus::kOk) << r;
+        got[r] = std::move(res.scores);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  frontend.Close();  // joins the workers: every trace has finished
+  for (size_t r = 0; r < requests.size(); ++r) {
+    ASSERT_EQ(got[r].size(), oracle[r].size()) << r;
+    for (size_t i = 0; i < got[r].size(); ++i) {
+      EXPECT_EQ(got[r][i].logit_human, oracle[r][i].logit_human) << r;
+      EXPECT_EQ(got[r][i].logit_bot, oracle[r][i].logit_bot) << r;
+    }
+  }
+
+  // Conservation re-derived from one registry snapshot, exactly, and the
+  // fault-free run took no failure path.
+  const obs::RegistrySnapshot snap = registry.Snapshot();
+  const auto gauge = [&snap](const std::string& name) {
+    EXPECT_TRUE(snap.HasGauge("serve.frontend." + name)) << name;
+    return static_cast<uint64_t>(snap.Gauge("serve.frontend." + name));
+  };
+  uint64_t requests_out = 0, targets_out = 0;
+  for (const char* bucket :
+       {"served", "shed", "closed", "timed_out", "failed", "degraded"}) {
+    requests_out += gauge(std::string(bucket) + "_requests");
+    targets_out += gauge(std::string("targets_") + bucket);
+  }
+  uint64_t targets_in = 0;
+  for (const std::vector<int>& req : requests) targets_in += req.size();
+  EXPECT_EQ(gauge("submitted_requests"), requests.size());
+  EXPECT_EQ(requests_out, requests.size());
+  EXPECT_EQ(gauge("targets_submitted"), targets_in);
+  EXPECT_EQ(targets_out, targets_in);
+  EXPECT_EQ(gauge("served_requests"), requests.size());
+  EXPECT_EQ(gauge("retries"), 0u);
+  // The always-on latency histogram saw every request exactly once.
+  const obs::HistogramSnapshot* lat =
+      snap.FindHistogram(obs::metric::kRequestLatencyMs);
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->count - lat_count_before, requests.size());
+
+  // 1-in-1 sampling traced every request, dropped none, finished them all.
+  const obs::TracerStats ts = Tracer::Global().Stats();
+  EXPECT_EQ(ts.sampled, requests.size());
+  EXPECT_EQ(ts.dropped_no_slot, 0u);
+  EXPECT_EQ(ts.completed, ts.sampled);
 }
 
 TEST(TraceIntegration, UntracedRequestsRecordNoTraces) {
