@@ -3,7 +3,7 @@
 //
 // Sizes are chosen so the full suite (`for b in build/bench/*; do $b; done`)
 // completes in minutes on one CPU while preserving the paper's relative
-// comparisons (see DESIGN.md §1).
+// comparisons.
 #pragma once
 
 #include <cstdint>

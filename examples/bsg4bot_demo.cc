@@ -29,9 +29,12 @@ int main(int argc, char** argv) {
   SetNumThreads(flags.GetInt("threads", 0));
 
   std::string name = flags.GetString("dataset", "twibot20");
-  DatasetConfig dc = name == "twibot22"  ? Twibot22Sim()
-                     : name == "mgtab"   ? MgtabSim()
-                                         : Twibot20Sim();
+  Result<DatasetConfig> preset = DatasetPreset(name);
+  if (!preset.ok()) {
+    std::fprintf(stderr, "%s\n", preset.status().ToString().c_str());
+    return 1;
+  }
+  DatasetConfig dc = preset.MoveValueOrDie();
   dc.num_users = flags.GetInt("users", 1000);
   dc.seed = static_cast<uint64_t>(flags.GetInt("seed", 17));
 

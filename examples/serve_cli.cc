@@ -19,12 +19,13 @@
 //   ./build/examples/serve_cli --ckpt=/tmp/bot.ckpt --ids=3,17,255
 //
 // Output is JSON lines: one {"id","bot_prob","label","precision","logits"}
-// object per scored account; engine/cache stats go to stderr with --stats
-// (a single metrics-registry snapshot, including latency quantiles and the
-// request/target conservation check). --metrics-out exports the same
-// registry as Prometheus text + a JSON sibling, --trace-sample=N records a
-// pipeline trace (queue wait, cache probe, build, stack, forward, ...) for
-// every Nth front-end request into the JSON export.
+// object per scored account. --stats prints one metrics-registry snapshot
+// to stderr: every gauge, every non-empty latency histogram, and the
+// request/target conservation check when the front-end ran. --metrics-out
+// exports the same registry as Prometheus text + a JSON sibling,
+// --trace-sample=N records a pipeline trace (queue wait, cache probe,
+// build, stack, forward, ...) for every Nth front-end request into the JSON
+// export.
 // --precision=f32 serves through the model's float shadow (vectorized
 // mixed-precision path); the default f64 stays bit-identical to training.
 //
@@ -33,14 +34,10 @@
 // --shed-p95-ms). The target list is split into engine-width chunks — the
 // same compositions the serial path scores — so logits are bit-identical
 // at any worker count (the CI smoke diffs --workers=4 against
-// --workers=1). --swap-demo exercises the hot-swap path: a SIGHUP handler
-// restores a standby model from the same checkpoint and SwapGraph()s to
-// it mid-serve (the demo raises the signal itself; `kill -HUP` lands the
-// same way), then verifies the purge counters and post-swap bit-identity.
+// --workers=1).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <future>
@@ -65,12 +62,6 @@
 using namespace bsg;
 
 namespace {
-
-// Set by the SIGHUP handler, polled by the serve path: the operator's
-// "new graph snapshot is ready" signal.
-volatile std::sig_atomic_t g_swap_requested = 0;
-
-void OnSigHup(int) { g_swap_requested = 1; }
 
 void PrintUsage() {
   std::printf(
@@ -111,9 +102,6 @@ void PrintUsage() {
       "                        'engine.forward:p=0.1;ckpt.read.open:nth=1'\n"
       "                        (see src/util/fault.h for the grammar)\n"
       "  --fault-seed=S        seed for probabilistic fault triggers\n"
-      "  --swap-demo           hot-swap on SIGHUP: restore a standby model\n"
-      "                        from the same checkpoint, SwapGraph() to it,\n"
-      "                        verify the stale-version purge + bit-identity\n"
       "  --score-out=PATH      write JSON lines here instead of stdout\n"
       "  --metrics-out=PATH    export the metrics registry to PATH\n"
       "                        (Prometheus text) and PATH.json (JSON with\n"
@@ -123,22 +111,15 @@ void PrintUsage() {
       "  --trace-sample=N      record a pipeline trace for every Nth\n"
       "                        front-end request (0 = off; 1 = all)\n"
       "  --stats               one metrics-registry snapshot to stderr:\n"
-      "                        engine/cache/front-end counters, latency\n"
-      "                        quantiles, and the conservation check\n");
-}
-
-Result<DatasetConfig> PresetConfig(const std::string& preset) {
-  if (preset == "twibot20") return Twibot20Sim();
-  if (preset == "twibot22") return Twibot22Sim();
-  if (preset == "mgtab") return MgtabSim();
-  return Status::InvalidArgument("unknown dataset '" + preset + "'");
+      "                        every gauge, the latency histograms, and\n"
+      "                        the front-end conservation check\n");
 }
 
 // One scored account as a JSON line. %.17g on the logits round-trips the
 // doubles, so diffing two of these files IS a bitwise logit comparison.
-// The raw-logit overload is for the train-mode oracle (PredictLogits has
-// no Score objects); its softmax/argmax mirror DetectionEngine's, which
-// the CI smoke diff pins: the two paths must print identical bytes.
+// The softmax/argmax are DetectionEngine's, so the train-mode oracle
+// (PredictLogits, raw logits) and the serve path print identical bytes —
+// the CI smoke diff pins it.
 void PrintScore(std::FILE* out, int id, double logit_human, double logit_bot,
                 const char* precision) {
   const double m = logit_human > logit_bot ? logit_human : logit_bot;
@@ -151,12 +132,13 @@ void PrintScore(std::FILE* out, int id, double logit_human, double logit_bot,
                logit_human, logit_bot);
 }
 
-void PrintScore(std::FILE* out, const Score& s, const char* precision) {
-  std::fprintf(out,
-               "{\"id\":%d,\"bot_prob\":%.6f,\"label\":%d,"
-               "\"precision\":\"%s\",\"logits\":[%.17g,%.17g]}\n",
-               s.target, s.bot_prob, s.label, precision, s.logit_human,
-               s.logit_bot);
+// The --score-out file, or stdout without the flag; nullptr (reported)
+// when the file cannot be opened.
+std::FILE* OpenScoreOut(const FlagParser& flags) {
+  if (!flags.Has("score-out")) return stdout;
+  std::FILE* out = std::fopen(flags.GetString("score-out", "").c_str(), "w");
+  if (out == nullptr) std::fprintf(stderr, "cannot open score-out\n");
+  return out;
 }
 
 // Rejects ids outside [0, num_nodes) before they can index anything.
@@ -303,21 +285,76 @@ std::vector<Score> ScoreThroughFrontend(ServingFrontend* frontend, int width,
   return scores;
 }
 
-bool SameLogits(const std::vector<Score>& a, const std::vector<Score>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::memcmp(&a[i].logit_human, &b[i].logit_human, sizeof(double)) !=
-            0 ||
-        std::memcmp(&a[i].logit_bot, &b[i].logit_bot, sizeof(double)) != 0) {
-      return false;
+// The direct (workers == 0) engine path honours --deadline-ms and
+// --max-retries too, through the Status-returning API: a terminal failure
+// there is a hard error for the CLI (no degraded mode without the
+// front-end).
+Status ScoreDirect(DetectionEngine* engine, const std::vector<int>& targets,
+                   bool single, double deadline_ms, int max_retries,
+                   std::vector<Score>* out) {
+  const ScoreOptions opts =
+      deadline_ms > 0.0
+          ? ScoreOptions::WithDeadline(
+                std::chrono::steady_clock::now() +
+                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                    std::chrono::duration<double, std::milli>(deadline_ms)))
+          : ScoreOptions::None();
+  Status st;
+  for (int attempt = 0;; ++attempt) {
+    if (single) {
+      out->clear();
+      st = Status::OK();
+      for (int t : targets) {
+        Score s;
+        st = engine->TryScoreOne(t, opts, &s);
+        if (!st.ok()) break;
+        out->push_back(s);
+      }
+    } else {
+      st = engine->TryScoreBatch(targets, opts, out);
+    }
+    if (st.ok() || !IsRetryable(st.code()) || attempt >= max_retries) {
+      return st;
     }
   }
-  return true;
+}
+
+// --stats: ONE registry snapshot — the same consistent cut the
+// Prometheus/JSON export sees — so the conservation line compares numbers
+// of one instant. Histogram quantiles are the containing bucket's upper
+// bound, hence "<=". Conservation is exact here because the front-end is
+// quiescent (every future was awaited).
+void PrintStats(bool frontend_ran) {
+  const obs::RegistrySnapshot snap = obs::MetricsRegistry::Global().Snapshot();
+  for (const auto& [name, value] : snap.counters) {
+    std::fprintf(stderr, "%s %llu\n", name.c_str(),
+                 static_cast<unsigned long long>(value));
+  }
+  for (const obs::GaugeSample& g : snap.gauges) {
+    std::fprintf(stderr, "%s %.12g\n", g.name.c_str(), g.value);
+  }
+  for (const auto& [name, h] : snap.histograms) {
+    if (h.count == 0) continue;
+    std::fprintf(stderr, "%s n=%llu mean %.3f p50<=%.3g p95<=%.3g p99<=%.3g\n",
+                 name.c_str(), static_cast<unsigned long long>(h.count),
+                 h.sum / static_cast<double>(h.count), h.p50, h.p95, h.p99);
+  }
+  if (!frontend_ran) return;
+  const double req_in = snap.Gauge("serve.frontend.submitted_requests");
+  const double req_out = snap.Gauge("serve.frontend.accounted_requests");
+  const double tgt_in = snap.Gauge("serve.frontend.targets_submitted");
+  const double tgt_out = snap.Gauge("serve.frontend.accounted_targets");
+  std::fprintf(stderr,
+               "conservation: requests %.0f submitted vs %.0f resolved "
+               "(served+shed+closed+timed_out+failed+degraded) %s; targets "
+               "%.0f vs %.0f %s\n",
+               req_in, req_out, req_in == req_out ? "OK" : "VIOLATED", tgt_in,
+               tgt_out, tgt_in == tgt_out ? "OK" : "VIOLATED");
 }
 
 int TrainAndSave(const FlagParser& flags, const std::string& ckpt_path) {
   const std::string preset = flags.GetString("dataset", "twibot20");
-  Result<DatasetConfig> dc = PresetConfig(preset);
+  Result<DatasetConfig> dc = DatasetPreset(preset);
   if (!dc.ok()) {
     std::fprintf(stderr, "%s\n", dc.status().ToString().c_str());
     return 1;
@@ -363,14 +400,8 @@ int TrainAndSave(const FlagParser& flags, const std::string& ckpt_path) {
   // reproduce bit-for-bit.
   std::vector<int> targets = ResolveTargets(flags, graph);
   if (!ValidateTargets(targets, graph.num_nodes)) return 1;
-  std::FILE* out = stdout;
-  if (flags.Has("score-out")) {
-    out = std::fopen(flags.GetString("score-out", "").c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open score-out\n");
-      return 1;
-    }
-  }
+  std::FILE* out = OpenScoreOut(flags);
+  if (out == nullptr) return 1;
   Matrix logits = model.PredictLogits(targets);
   for (size_t i = 0; i < targets.size(); ++i) {
     // PredictLogits is the f64 oracle by definition.
@@ -409,7 +440,7 @@ int Serve(const FlagParser& flags, const std::string& ckpt_path) {
                  "checkpoint has no dataset provenance (data.* metadata)\n");
     return 1;
   }
-  Result<DatasetConfig> dc = PresetConfig(*preset);
+  Result<DatasetConfig> dc = DatasetPreset(*preset);
   if (!dc.ok()) {
     std::fprintf(stderr, "%s\n", dc.status().ToString().c_str());
     return 1;
@@ -487,9 +518,6 @@ int Serve(const FlagParser& flags, const std::string& ckpt_path) {
   ecfg.precision = precision == "f32" ? EngineConfig::Precision::kF32
                                       : EngineConfig::Precision::kF64;
   DetectionEngine engine(&model, ecfg);
-  // The hot-swap demo's standby model: declared before the front-end so it
-  // outlives the workers that may be scoring through it.
-  std::unique_ptr<Bsg4Bot> standby;
 
   const int workers = flags.GetInt("workers", 0);
   if (workers < 0) {
@@ -551,50 +579,9 @@ int Serve(const FlagParser& flags, const std::string& ckpt_path) {
 
   std::vector<int> targets = ResolveTargets(flags, graph);
   if (!ValidateTargets(targets, graph.num_nodes)) return 1;
-  std::FILE* out = stdout;
-  if (flags.Has("score-out")) {
-    out = std::fopen(flags.GetString("score-out", "").c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot open score-out\n");
-      return 1;
-    }
-  }
+  std::FILE* out = OpenScoreOut(flags);
+  if (out == nullptr) return 1;
   const bool single = flags.Has("single");
-  if (flags.Has("swap-demo")) std::signal(SIGHUP, OnSigHup);
-
-  // The direct (workers == 0) engine path honours --deadline-ms and
-  // --max-retries too, through the Status-returning API: a terminal
-  // failure there is a hard error for the CLI (no degraded mode without
-  // the front-end).
-  const auto score_direct = [&](const std::vector<int>& list,
-                                std::vector<Score>* out) -> Status {
-    const ScoreOptions opts =
-        deadline_ms > 0.0
-            ? ScoreOptions::WithDeadline(
-                  std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double, std::milli>(deadline_ms)))
-            : ScoreOptions::None();
-    Status st;
-    for (int attempt = 0;; ++attempt) {
-      if (single) {
-        out->clear();
-        st = Status::OK();
-        for (int t : list) {
-          Score s;
-          st = engine.TryScoreOne(t, opts, &s);
-          if (!st.ok()) break;
-          out->push_back(s);
-        }
-      } else {
-        st = engine.TryScoreBatch(list, opts, out);
-      }
-      if (st.ok() || !IsRetryable(st.code()) || attempt >= max_retries) {
-        return st;
-      }
-    }
-  };
 
   std::vector<Score> scores;
   NonOkTally tally;
@@ -608,233 +595,19 @@ int Serve(const FlagParser& flags, const std::string& ckpt_path) {
                    "list\n");
     }
   } else {
-    Status st = score_direct(targets, &scores);
+    Status st = ScoreDirect(&engine, targets, single, deadline_ms,
+                            max_retries, &scores);
     if (!st.ok()) {
       std::fprintf(stderr, "scoring failed: %s\n", st.ToString().c_str());
       return 1;
     }
   }
-  for (const Score& s : scores) PrintScore(out, s, precision.c_str());
+  for (const Score& s : scores) {
+    PrintScore(out, s.target, s.logit_human, s.logit_bot, precision.c_str());
+  }
   if (out != stdout) std::fclose(out);
 
-  if (flags.Has("swap-demo")) {
-    // The demo raises the operator's signal itself so the whole hot-swap
-    // path runs unattended; an external `kill -HUP` takes the same route.
-    std::raise(SIGHUP);
-    if (g_swap_requested != 0) {
-      g_swap_requested = 0;
-      // Restore the standby from the same checkpoint: same weights, so the
-      // swap's correctness is directly observable — stale entries purged,
-      // post-swap logits bit-identical to the pre-swap pass.
-      Result<Bsg4BotConfig> standby_cfg = Bsg4Bot::CheckpointConfig(ckpt);
-      if (!standby_cfg.ok()) {
-        std::fprintf(stderr, "%s\n", standby_cfg.status().ToString().c_str());
-        return 1;
-      }
-      standby = std::make_unique<Bsg4Bot>(graph, standby_cfg.MoveValueOrDie());
-      Status restore = standby->RestoreFromCheckpoint(ckpt);
-      if (!restore.ok()) {
-        std::fprintf(stderr, "standby restore failed: %s\n",
-                     restore.ToString().c_str());
-        return 1;
-      }
-      const SubgraphCacheStats before = engine.cache().Stats();
-      const uint64_t next_version = engine.graph_version() + 1;
-      if (frontend != nullptr) {
-        frontend->SwapGraph(standby.get(), next_version);
-      } else {
-        engine.SwapModel(standby.get(), next_version);
-      }
-      const SubgraphCacheStats after = engine.cache().Stats();
-      const uint64_t stale_residents = after.entries;  // purge empties it
-
-      std::vector<Score> rescored;
-      if (frontend != nullptr) {
-        NonOkTally swap_tally;
-        rescored = ScoreThroughFrontend(frontend.get(), engine.batch_size(),
-                                        targets, single, &swap_tally);
-        swap_tally.Report();
-      } else {
-        Status rescore = score_direct(targets, &rescored);
-        if (!rescore.ok()) {
-          std::fprintf(stderr, "post-swap scoring failed: %s\n",
-                       rescore.ToString().c_str());
-          return 1;
-        }
-      }
-      const bool identical = SameLogits(scores, rescored);
-      std::fprintf(
-          stderr,
-          "swap demo: SIGHUP -> graph version %llu; purged %llu stale "
-          "subgraph(s) (version_evictions %llu -> %llu, residents after "
-          "swap %llu); post-swap logits bit-identical: %s\n",
-          static_cast<unsigned long long>(next_version),
-          static_cast<unsigned long long>(after.version_evictions -
-                                          before.version_evictions),
-          static_cast<unsigned long long>(before.version_evictions),
-          static_cast<unsigned long long>(after.version_evictions),
-          static_cast<unsigned long long>(stale_residents),
-          identical ? "yes" : "NO");
-      if (!identical || stale_residents != 0) return 1;
-    }
-  }
-
-  if (flags.Has("stats")) {
-    // Everything below reads ONE registry snapshot — the same consistent
-    // cut the Prometheus/JSON export would see — so derived invariants
-    // (the conservation line) are computed from numbers of one instant,
-    // not from per-component Stats() calls at slightly different times.
-    const obs::RegistrySnapshot snap =
-        obs::MetricsRegistry::Global().Snapshot();
-    const auto g = [&snap](const char* name) { return snap.Gauge(name); };
-    const auto u = [&snap](const char* name) {
-      return static_cast<unsigned long long>(snap.Gauge(name));
-    };
-    std::fprintf(stderr,
-                 "engine: %llu targets in %llu batches (+%llu single), "
-                 "pool hit rate %.3f, trimmed %.2f MiB at startup\n",
-                 u("serve.engine.targets_scored"),
-                 u("serve.engine.batches_run"),
-                 u("serve.engine.single_requests"),
-                 g("serve.engine.pool_hit_rate"),
-                 g("serve.engine.pool_trimmed_bytes") / (1 << 20));
-    std::fprintf(stderr,
-                 "cache: %llu lookups, hit rate %.3f, %llu entries "
-                 "(%.2f MiB), %llu evictions\n",
-                 u("serve.cache.lookups"), g("serve.cache.hit_rate"),
-                 u("serve.cache.entries"),
-                 g("serve.cache.resident_bytes") / (1 << 20),
-                 u("serve.cache.evictions"));
-    std::fprintf(stderr,
-                 "stacker: %llu batches, %llu carcass reuses, %llu csr "
-                 "reuses, %llu f32-weight reuses\n",
-                 u("serve.stacker.batches_stacked"),
-                 u("serve.stacker.carcass_reuses"),
-                 u("serve.stacker.csr_reuses"),
-                 u("serve.stacker.weights_f32_reuses"));
-    if (frontend != nullptr) {
-      std::fprintf(
-          stderr,
-          "front-end: %d workers, %llu requests (%llu served, %llu shed "
-          "[%llu queue-full, %llu latency, %llu resource], shed rate "
-          "%.3f), queue depth peak %llu, %llu graph swap(s), est %.3f "
-          "ms/target\n",
-          workers, u("serve.frontend.submitted_requests"),
-          u("serve.frontend.served_requests"),
-          u("serve.frontend.shed_requests"),
-          u("serve.frontend.shed_queue_full"),
-          u("serve.frontend.shed_latency"),
-          u("serve.frontend.shed_resource"), g("serve.frontend.shed_rate"),
-          u("serve.frontend.queue_depth_peak"),
-          u("serve.frontend.graph_swaps"),
-          g("serve.frontend.ms_per_target_estimate"));
-      std::fprintf(stderr,
-                   "failures: %llu timed out, %llu failed, %llu degraded, "
-                   "%llu retries (%llu successful), %llu breaker trip(s)\n",
-                   u("serve.frontend.timed_out_requests"),
-                   u("serve.frontend.failed_requests"),
-                   u("serve.frontend.degraded_requests"),
-                   u("serve.frontend.retries"),
-                   u("serve.frontend.retry_successes"),
-                   u("serve.frontend.breaker_trips"));
-      // Conservation: every submitted request/target resolved exactly one
-      // way. Exact on this snapshot because the front-end is quiescent
-      // (all futures were awaited above).
-      const unsigned long long req_out =
-          u("serve.frontend.served_requests") +
-          u("serve.frontend.shed_requests") +
-          u("serve.frontend.closed_requests") +
-          u("serve.frontend.timed_out_requests") +
-          u("serve.frontend.failed_requests") +
-          u("serve.frontend.degraded_requests");
-      const unsigned long long tgt_out =
-          u("serve.frontend.targets_served") +
-          u("serve.frontend.targets_shed") +
-          u("serve.frontend.targets_closed") +
-          u("serve.frontend.targets_timed_out") +
-          u("serve.frontend.targets_failed") +
-          u("serve.frontend.targets_degraded");
-      const unsigned long long req_in =
-          u("serve.frontend.submitted_requests");
-      const unsigned long long tgt_in =
-          u("serve.frontend.targets_submitted");
-      std::fprintf(
-          stderr,
-          "conservation: requests %llu submitted vs %llu resolved "
-          "(served+shed+closed+timed_out+failed+degraded) %s; targets "
-          "%llu vs %llu %s\n",
-          req_in, req_out, req_in == req_out ? "OK" : "VIOLATED", tgt_in,
-          tgt_out, tgt_in == tgt_out ? "OK" : "VIOLATED");
-    }
-    std::fprintf(
-        stderr,
-        "governor: budget %.2f MiB (soft %.2f, hard %.2f), accounted "
-        "%.2f MiB (peak %.2f), pressure %d, %llu soft / %llu hard "
-        "transition(s), %llu recover(ies), reclaimed %.2f MiB in %llu "
-        "invocation(s), %llu refusal(s) (%llu injected)\n",
-        g("governor.budget_bytes") / (1 << 20),
-        g("governor.soft_bytes") / (1 << 20),
-        g("governor.hard_bytes") / (1 << 20),
-        g("governor.total_bytes") / (1 << 20),
-        g("governor.peak_total_bytes") / (1 << 20),
-        static_cast<int>(g("governor.pressure")),
-        u("governor.soft_transitions"), u("governor.hard_transitions"),
-        u("governor.recoveries"), g("governor.reclaimed_bytes") / (1 << 20),
-        u("governor.reclaim_invocations"), u("governor.refusals"),
-        u("governor.injected_refusals"));
-    std::fprintf(
-        stderr,
-        "governor accounts: pool %.2f MiB (peak %.2f), serve.cache %.2f "
-        "MiB (peak %.2f), serve.queue %.2f MiB (peak %.2f)\n",
-        g("governor.account.pool.resident_bytes") / (1 << 20),
-        g("governor.account.pool.peak_bytes") / (1 << 20),
-        g("governor.account.serve.cache.resident_bytes") / (1 << 20),
-        g("governor.account.serve.cache.peak_bytes") / (1 << 20),
-        g("governor.account.serve.queue.resident_bytes") / (1 << 20),
-        g("governor.account.serve.queue.peak_bytes") / (1 << 20));
-    // Latency quantiles from the registry histograms. Quantiles report the
-    // containing bucket's upper bound, hence "<=".
-    const auto latency_line = [&snap](const char* label, const char* name) {
-      const obs::HistogramSnapshot* h = snap.FindHistogram(name);
-      if (h == nullptr || h->count == 0) return;
-      std::fprintf(stderr,
-                   "latency %s: n=%llu mean %.3f ms, p50<=%.3g p95<=%.3g "
-                   "p99<=%.3g\n",
-                   label, static_cast<unsigned long long>(h->count),
-                   h->sum / static_cast<double>(h->count), h->p50, h->p95,
-                   h->p99);
-    };
-    latency_line("request", obs::metric::kRequestLatencyMs);
-    latency_line("queue-wait", obs::metric::kQueueWaitMs);
-    latency_line("forward", obs::metric::kForwardMs);
-    latency_line("assemble", obs::metric::kAssembleMs);
-    if (snap.Gauge("fault.armed") != 0.0) {
-      for (const obs::GaugeSample& sample : snap.gauges) {
-        const std::string& n = sample.name;
-        const std::string suffix = ".evaluations";
-        if (n.size() <= 6 + suffix.size() || n.compare(0, 6, "fault.") != 0 ||
-            n.compare(n.size() - suffix.size(), suffix.size(), suffix) != 0 ||
-            sample.value == 0.0) {
-          continue;
-        }
-        const std::string site =
-            n.substr(6, n.size() - 6 - suffix.size());
-        std::fprintf(
-            stderr, "fault site %s: %llu evaluation(s), %llu fired\n",
-            site.c_str(), static_cast<unsigned long long>(sample.value),
-            static_cast<unsigned long long>(
-                snap.Gauge("fault." + site + ".fires")));
-      }
-    }
-    if (trace_sample > 0) {
-      std::fprintf(stderr,
-                   "tracer: 1-in-%d sampling, %llu sampled, %llu completed, "
-                   "%llu dropped (no slot), %llu truncated span(s)\n",
-                   trace_sample, u("obs.tracer.sampled"),
-                   u("obs.tracer.completed"), u("obs.tracer.dropped_no_slot"),
-                   u("obs.tracer.truncated_spans"));
-    }
-  }
+  if (flags.Has("stats")) PrintStats(frontend != nullptr);
   return 0;
 }
 
@@ -844,7 +617,7 @@ int main(int argc, char** argv) {
   // Declaring the booleans keeps a bare `--stats ids.txt` from swallowing
   // the file as the flag's value (util/flags.h).
   FlagParser flags(argc, argv,
-                   {"train", "single", "stats", "help", "swap-demo"});
+                   {"train", "single", "stats", "help"});
   if (flags.Has("help")) {
     PrintUsage();
     return 0;

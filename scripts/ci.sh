@@ -32,9 +32,7 @@
 #    JSON-lines output (logits at %.17g) against the in-memory model's —
 #    the bit-identity contract of the serving subsystem, end to end; then
 #    re-serve through the concurrent front-end at --workers=1 and
-#    --workers=4 and diff those too (worker count must not perturb logits),
-#    and run the --swap-demo hot-swap path (SIGHUP -> SwapGraph -> stale
-#    purge -> post-swap bit-identity, verified in-process)
+#    --workers=4 and diff those too (worker count must not perturb logits)
 # 6. BSG_MARCH_NATIVE=ON build running the f32 suites: the mixed-precision
 #    parity tolerance must hold under full-width SIMD codegen too, not just
 #    the portable baseline
@@ -136,14 +134,6 @@ echo "=== concurrent serve smoke (--workers=4 vs --workers=1 logit diff) ==="
 diff "$SERVE_TMP/serve_w1.jsonl" "$SERVE_TMP/serve_w4.jsonl"
 diff "$SERVE_TMP/train_scores.jsonl" "$SERVE_TMP/serve_w4.jsonl"
 echo "concurrent serve smoke: 4-worker front-end logits bit-identical to 1-worker and to the trained model"
-
-echo "=== hot-swap smoke (SIGHUP -> SwapGraph -> purge -> bit-identity) ==="
-# serve_cli exits non-zero if stale-version entries survive the swap or the
-# post-swap logits drift, so this line alone is the assertion.
-"$BUILD_DIR/examples/serve_cli" --ckpt="$SERVE_TMP/model.ckpt" \
-  --score-out="$SERVE_TMP/serve_swap.jsonl" --workers=2 --swap-demo
-diff "$SERVE_TMP/train_scores.jsonl" "$SERVE_TMP/serve_swap.jsonl"
-echo "hot-swap smoke: stale versions purged, post-swap logits bit-identical"
 
 echo "=== fault-injected serve smoke (retries absorb transient faults) ==="
 # Two deterministic transient forward faults, three retries: every request

@@ -42,8 +42,6 @@ void Bsg4Bot::RefreshF32Shadow() {
     shadow->sem_q = MatrixF::FromDouble(fuse_.q()->value);
   }
   shadow->head = ConvertLinear(head_);
-  shadow->hidden_reps = MatrixF::FromDouble(pretrain_.hidden_reps);
-  shadow->hidden_self_dots = RowSelfDotsF(shadow->hidden_reps);
   f32_ = std::move(shadow);
 }
 

@@ -3,10 +3,12 @@
 // Training and the serving oracle stay double precision (the bit-identity
 // harness depends on it); this struct is the one-time f32 conversion of
 // everything the inference forward pass reads — layer weights, semantic
-// attention, the classifier head, node features and the pre-classifier
-// state. Bsg4Bot materialises it on EnsureF32Shadow() and refreshes it when
+// attention, the classifier head and the node features. Bsg4Bot
+// materialises it on EnsureF32Shadow() and refreshes it when
 // RestoreFromCheckpoint replaces the parameters, so the shadow can never
-// drift from the doubles it mirrors across a checkpoint reload.
+// drift from the doubles it mirrors across a checkpoint reload. Subgraph
+// assembly stays f64 in both precisions (they share cache entries), so the
+// shadow carries no pre-classifier state.
 //
 // The shadow is read-only at scoring time: Bsg4Bot::ScoreBatchF32 runs the
 // whole forward (Eq. 9-15) over MatrixF kernels with no autograd graph and
@@ -34,14 +36,6 @@ struct Bsg4BotF32 {
   LinearF32 sem_proj;  ///< semantic-attention projection W, b (Eq. 12)
   MatrixF sem_q;       ///< semantic vector q, att_dim x 1 (Eq. 12)
   LinearF32 head;      ///< classifier head (Eq. 15)
-
-  /// Pre-classifier hidden representations and their cached self dots
-  /// (f32 twins of pretrain_.hidden_reps / hidden_self_dots_). Subgraph
-  /// assembly itself stays f64 — both precisions must share cache entries —
-  /// but the shadow carries them so f32 similarity scoring never reaches
-  /// back into the doubles.
-  MatrixF hidden_reps;
-  std::vector<float> hidden_self_dots;
 };
 
 }  // namespace bsg

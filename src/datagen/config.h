@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "util/status.h"
+
 namespace bsg {
 
 /// All knobs of the synthetic benchmark generator.
@@ -124,6 +126,15 @@ inline DatasetConfig MgtabSim() {
   cfg.bot_mimicry = 0.68;
   cfg.seed = 26;
   return cfg;
+}
+
+/// The preset named `name` ("twibot20", "twibot22" or "mgtab");
+/// InvalidArgument for any other name.
+inline Result<DatasetConfig> DatasetPreset(const std::string& name) {
+  if (name == "twibot20") return Twibot20Sim();
+  if (name == "twibot22") return Twibot22Sim();
+  if (name == "mgtab") return MgtabSim();
+  return Status::InvalidArgument("unknown dataset '" + name + "'");
 }
 
 /// Community-generalisation dataset for Fig. 9: `count` non-overlapping

@@ -1,5 +1,7 @@
 #include "obs/adapters.h"
 
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -16,18 +18,18 @@ namespace obs {
 
 namespace {
 
-void Emit(std::vector<GaugeSample>* out, const std::string& prefix,
+void Emit(std::vector<GaugeSample>* out, std::string_view prefix,
           const char* name, double value) {
-  out->push_back({prefix + "." + name, value});
+  out->push_back({std::string(prefix) + "." + name, value});
 }
 
-void Emit(std::vector<GaugeSample>* out, const std::string& prefix,
+void Emit(std::vector<GaugeSample>* out, std::string_view prefix,
           const char* name, uint64_t value) {
   Emit(out, prefix, name, static_cast<double>(value));
 }
 
-void EmitCache(std::vector<GaugeSample>* out, const std::string& prefix,
-               const SubgraphCacheStats& c) {
+void EmitCache(std::vector<GaugeSample>* out, const SubgraphCacheStats& c) {
+  constexpr std::string_view prefix = "serve.cache";
   Emit(out, prefix, "lookups", c.lookups);
   Emit(out, prefix, "hits", c.hits);
   Emit(out, prefix, "misses", c.misses);
@@ -54,9 +56,9 @@ GaugeRegistration Register(
 
 }  // namespace
 
-GaugeRegistration RegisterFrontendMetrics(const ServingFrontend* frontend,
-                                          const std::string& prefix) {
-  return Register([frontend, prefix](std::vector<GaugeSample>* out) {
+GaugeRegistration RegisterFrontendMetrics(const ServingFrontend* frontend) {
+  return Register([frontend](std::vector<GaugeSample>* out) {
+    constexpr std::string_view prefix = "serve.frontend";
     FrontendStats s = frontend->Stats();
     Emit(out, prefix, "submitted_requests", s.submitted_requests);
     Emit(out, prefix, "served_requests", s.served_requests);
@@ -91,12 +93,10 @@ GaugeRegistration RegisterFrontendMetrics(const ServingFrontend* frontend,
   });
 }
 
-GaugeRegistration RegisterEngineMetrics(const DetectionEngine* engine,
-                                        const std::string& prefix,
-                                        const std::string& cache_prefix,
-                                        const std::string& stacker_prefix) {
-  return Register([engine, prefix, cache_prefix,
-                   stacker_prefix](std::vector<GaugeSample>* out) {
+GaugeRegistration RegisterEngineMetrics(const DetectionEngine* engine) {
+  return Register([engine](std::vector<GaugeSample>* out) {
+    constexpr std::string_view prefix = "serve.engine";
+    constexpr std::string_view stacker_prefix = "serve.stacker";
     EngineStats s = engine->Stats();
     Emit(out, prefix, "single_requests", s.single_requests);
     Emit(out, prefix, "batch_requests", s.batch_requests);
@@ -111,7 +111,7 @@ GaugeRegistration RegisterEngineMetrics(const DetectionEngine* engine,
     Emit(out, prefix, "pool_acquires", s.pool_acquires);
     Emit(out, prefix, "pool_hits", s.pool_hits);
     Emit(out, prefix, "pool_hit_rate", s.PoolHitRate());
-    EmitCache(out, cache_prefix, s.cache);
+    EmitCache(out, s.cache);
     Emit(out, stacker_prefix, "batches_stacked", s.stacker.batches_stacked);
     Emit(out, stacker_prefix, "carcass_reuses", s.stacker.carcass_reuses);
     Emit(out, stacker_prefix, "csr_reuses", s.stacker.csr_reuses);
@@ -120,8 +120,9 @@ GaugeRegistration RegisterEngineMetrics(const DetectionEngine* engine,
   });
 }
 
-GaugeRegistration RegisterBufferPoolMetrics(const std::string& prefix) {
-  return Register([prefix](std::vector<GaugeSample>* out) {
+GaugeRegistration RegisterBufferPoolMetrics() {
+  return Register([](std::vector<GaugeSample>* out) {
+    constexpr std::string_view prefix = "pool";
     BufferPoolStats s = BufferPool::Global().Stats();
     Emit(out, prefix, "acquires", s.acquires);
     Emit(out, prefix, "hits", s.hits);
@@ -137,20 +138,22 @@ GaugeRegistration RegisterBufferPoolMetrics(const std::string& prefix) {
   });
 }
 
-GaugeRegistration RegisterFaultMetrics(const std::string& prefix) {
-  return Register([prefix](std::vector<GaugeSample>* out) {
+GaugeRegistration RegisterFaultMetrics() {
+  return Register([](std::vector<GaugeSample>* out) {
+    constexpr std::string_view prefix = "fault";
     FaultInjector& inj = FaultInjector::Global();
     Emit(out, prefix, "armed", inj.armed() ? 1.0 : 0.0);
     for (const FaultInjector::SiteStats& site : inj.Stats()) {
-      std::string site_prefix = prefix + "." + site.site;
+      std::string site_prefix = std::string(prefix) + "." + site.site;
       Emit(out, site_prefix, "evaluations", site.evaluations);
       Emit(out, site_prefix, "fires", site.fires);
     }
   });
 }
 
-GaugeRegistration RegisterCheckpointIoMetrics(const std::string& prefix) {
-  return Register([prefix](std::vector<GaugeSample>* out) {
+GaugeRegistration RegisterCheckpointIoMetrics() {
+  return Register([](std::vector<GaugeSample>* out) {
+    constexpr std::string_view prefix = "ckpt";
     CheckpointIoStats s = GetCheckpointIoStats();
     Emit(out, prefix, "saves_ok", s.saves_ok);
     Emit(out, prefix, "save_failures", s.save_failures);
@@ -161,8 +164,9 @@ GaugeRegistration RegisterCheckpointIoMetrics(const std::string& prefix) {
   });
 }
 
-GaugeRegistration RegisterGovernorMetrics(const std::string& prefix) {
-  return Register([prefix](std::vector<GaugeSample>* out) {
+GaugeRegistration RegisterGovernorMetrics() {
+  return Register([](std::vector<GaugeSample>* out) {
+    constexpr std::string_view prefix = "governor";
     ResourceGovernorStats s = ResourceGovernor::Global().Stats();
     Emit(out, prefix, "budget_bytes", s.budget_bytes);
     Emit(out, prefix, "soft_bytes", s.soft_bytes);
@@ -178,7 +182,8 @@ GaugeRegistration RegisterGovernorMetrics(const std::string& prefix) {
     Emit(out, prefix, "refusals", s.refusals);
     Emit(out, prefix, "injected_refusals", s.injected_refusals);
     for (const GovernorAccountStats& a : s.accounts) {
-      std::string account_prefix = prefix + ".account." + a.name;
+      std::string account_prefix =
+          std::string(prefix) + ".account." + a.name;
       Emit(out, account_prefix, "resident_bytes", a.resident_bytes);
       Emit(out, account_prefix, "peak_bytes", a.peak_bytes);
       Emit(out, account_prefix, "charges", a.charges);
@@ -188,8 +193,9 @@ GaugeRegistration RegisterGovernorMetrics(const std::string& prefix) {
   });
 }
 
-GaugeRegistration RegisterTracerMetrics(const std::string& prefix) {
-  return Register([prefix](std::vector<GaugeSample>* out) {
+GaugeRegistration RegisterTracerMetrics() {
+  return Register([](std::vector<GaugeSample>* out) {
+    constexpr std::string_view prefix = "obs.tracer";
     Tracer& tracer = Tracer::Global();
     TracerStats s = tracer.Stats();
     Emit(out, prefix, "sample_every",

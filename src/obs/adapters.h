@@ -17,8 +17,6 @@
 // (serve_cli, benches) register explicitly and hold the handles.
 #pragma once
 
-#include <string>
-
 #include "obs/metrics.h"
 
 namespace bsg {
@@ -28,43 +26,36 @@ class DetectionEngine;
 
 namespace obs {
 
+// The exported names are fixed (CI's Prometheus/JSON checks and the
+// `--stats` conservation line read them), so the prefixes are too.
+
 /// FrontendStats (requests/targets by status, retries, breaker, shedding,
-/// cost model) as "<prefix>.*". Does not emit the nested engine snapshot —
-/// register the engine separately.
-GaugeRegistration RegisterFrontendMetrics(
-    const ServingFrontend* frontend,
-    const std::string& prefix = "serve.frontend");
+/// cost model) as "serve.frontend.*". Does not emit the nested engine
+/// snapshot — register the engine separately.
+GaugeRegistration RegisterFrontendMetrics(const ServingFrontend* frontend);
 
-/// EngineStats as "<prefix>.*", the nested SubgraphCacheStats as
-/// "<cache_prefix>.*" and BatchStackerStats as "<cache_prefix's sibling>
-/// serve.stacker.*".
-GaugeRegistration RegisterEngineMetrics(
-    const DetectionEngine* engine, const std::string& prefix = "serve.engine",
-    const std::string& cache_prefix = "serve.cache",
-    const std::string& stacker_prefix = "serve.stacker");
+/// EngineStats as "serve.engine.*", the nested SubgraphCacheStats as
+/// "serve.cache.*" and BatchStackerStats as "serve.stacker.*".
+GaugeRegistration RegisterEngineMetrics(const DetectionEngine* engine);
 
-/// BufferPool::Global() stats as "<prefix>.*".
-GaugeRegistration RegisterBufferPoolMetrics(
-    const std::string& prefix = "pool");
+/// BufferPool::Global() stats as "pool.*".
+GaugeRegistration RegisterBufferPoolMetrics();
 
-/// FaultInjector::Global(): "<prefix>.armed" plus per-site
-/// "<prefix>.<site>.evaluations" / ".fires".
-GaugeRegistration RegisterFaultMetrics(const std::string& prefix = "fault");
+/// FaultInjector::Global(): "fault.armed" plus per-site
+/// "fault.<site>.evaluations" / ".fires".
+GaugeRegistration RegisterFaultMetrics();
 
-/// Checkpoint IO counters as "<prefix>.*".
-GaugeRegistration RegisterCheckpointIoMetrics(
-    const std::string& prefix = "ckpt");
+/// Checkpoint IO counters as "ckpt.*".
+GaugeRegistration RegisterCheckpointIoMetrics();
 
 /// ResourceGovernor::Global(): budget/watermarks, accounted total + peak,
-/// pressure level, transition/reclaim/refusal counters as "<prefix>.*",
+/// pressure level, transition/reclaim/refusal counters as "governor.*",
 /// plus per-account resident/peak/charges/releases/refusals as
-/// "<prefix>.account.<name>.*".
-GaugeRegistration RegisterGovernorMetrics(
-    const std::string& prefix = "governor");
+/// "governor.account.<name>.*".
+GaugeRegistration RegisterGovernorMetrics();
 
-/// Tracer bookkeeping (sampled/completed/dropped/...) as "<prefix>.*".
-GaugeRegistration RegisterTracerMetrics(
-    const std::string& prefix = "obs.tracer");
+/// Tracer bookkeeping (sampled/completed/dropped/...) as "obs.tracer.*".
+GaugeRegistration RegisterTracerMetrics();
 
 }  // namespace obs
 }  // namespace bsg

@@ -143,56 +143,12 @@ float MatrixF::Mean() const {
   return empty() ? 0.0f : Sum() / static_cast<float>(size());
 }
 
-float MatrixF::RowNorm(int r) const {
-  const float* p = row(r);
-  float s = 0.0f;
-  for (int c = 0; c < cols_; ++c) s += p[c] * p[c];
-  return std::sqrt(s);
-}
-
-float MatrixF::RowCosine(int r, const MatrixF& other, int s) const {
-  BSG_CHECK(cols_ == other.cols_, "RowCosine dimension mismatch");
-  const float* a = row(r);
-  const float* b = other.row(s);
-  float dot = 0.0f, na = 0.0f, nb = 0.0f;
-  for (int c = 0; c < cols_; ++c) {
-    dot += a[c] * b[c];
-    na += a[c] * a[c];
-    nb += b[c] * b[c];
-  }
-  if (na <= 0.0f || nb <= 0.0f) return 0.0f;
-  return dot / std::sqrt(na * nb);
-}
-
 MatrixF MatrixF::GatherRows(const std::vector<int>& indices) const {
   MatrixF out = MatrixF::Uninit(static_cast<int>(indices.size()), cols_);
   for (size_t i = 0; i < indices.size(); ++i) {
     int r = indices[i];
     BSG_CHECK(r >= 0 && r < rows_, "GatherRows index out of range");
     std::copy(row(r), row(r) + cols_, out.row(static_cast<int>(i)));
-  }
-  return out;
-}
-
-MatrixF MatrixF::ConcatCols(const MatrixF& other) const {
-  BSG_CHECK(rows_ == other.rows_, "ConcatCols row mismatch");
-  MatrixF out = MatrixF::Uninit(rows_, cols_ + other.cols_);
-  for (int i = 0; i < rows_; ++i) {
-    std::copy(row(i), row(i) + cols_, out.row(i));
-    std::copy(other.row(i), other.row(i) + other.cols_, out.row(i) + cols_);
-  }
-  return out;
-}
-
-MatrixF AddLeakyReluF(const MatrixF& a, const MatrixF& b, float slope) {
-  BSG_CHECK(a.SameShape(b), "AddLeakyReluF shape mismatch");
-  MatrixF out = MatrixF::Uninit(a.rows(), a.cols());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  for (size_t i = 0, n = out.size(); i < n; ++i) {
-    const float s = pa[i] + pb[i];
-    po[i] = s > 0.0f ? s : slope * s;
   }
   return out;
 }
@@ -225,25 +181,6 @@ MatrixF SpmmF(const Csr& a, const std::vector<float>* w32, const MatrixF& x) {
   return out;
 }
 
-MatrixF SegmentSumF(const MatrixF& msgs, const std::vector<int64_t>& seg_ptr) {
-  const int num_segments = static_cast<int>(seg_ptr.size()) - 1;
-  BSG_CHECK(num_segments >= 0 && seg_ptr.front() == 0 &&
-                seg_ptr.back() == msgs.rows(),
-            "SegmentSumF seg_ptr mismatch");
-  MatrixF out(num_segments, msgs.cols());
-  const int d = msgs.cols();
-  ParallelFor(0, num_segments, kSpRowGrain, [&](int64_t s0, int64_t s1) {
-    for (int s = static_cast<int>(s0); s < static_cast<int>(s1); ++s) {
-      float* o = out.row(s);
-      for (int64_t e = seg_ptr[s]; e < seg_ptr[s + 1]; ++e) {
-        const float* m = msgs.row(static_cast<int>(e));
-        for (int c = 0; c < d; ++c) o[c] += m[c];
-      }
-    }
-  });
-  return out;
-}
-
 MatrixF ConcatColsF(const std::vector<const MatrixF*>& parts) {
   BSG_CHECK(!parts.empty(), "ConcatColsF on no parts");
   const int rows = parts[0]->rows();
@@ -260,17 +197,6 @@ MatrixF ConcatColsF(const std::vector<const MatrixF*>& parts) {
     }
   }
   return out;
-}
-
-std::vector<float> RowSelfDotsF(const MatrixF& m) {
-  std::vector<float> dots(static_cast<size_t>(m.rows()));
-  for (int r = 0; r < m.rows(); ++r) {
-    const float* p = m.row(r);
-    float s = 0.0f;
-    for (int c = 0; c < m.cols(); ++c) s += p[c] * p[c];
-    dots[static_cast<size_t>(r)] = s;
-  }
-  return dots;
 }
 
 }  // namespace bsg

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "graph/csr.h"
@@ -102,15 +101,7 @@ class MatrixF {
   size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
 
-  float& At(int r, int c) {
-    BSG_CHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_, "At out of range");
-    return data_[static_cast<size_t>(r) * cols_ + c];
-  }
-  float At(int r, int c) const {
-    BSG_CHECK(r >= 0 && r < rows_ && c >= 0 && c < cols_, "At out of range");
-    return data_[static_cast<size_t>(r) * cols_ + c];
-  }
-  /// Unchecked element access for hot loops.
+  /// Unchecked element access.
   float& operator()(int r, int c) {
     return data_[static_cast<size_t>(r) * cols_ + c];
   }
@@ -157,27 +148,14 @@ class MatrixF {
   float Sum() const;
   float Mean() const;
 
-  /// Euclidean norm of one row.
-  float RowNorm(int r) const;
-  /// Cosine similarity between row r of this and row s of other; 0 when
-  /// either row is the zero vector (mirrors Matrix::RowCosine).
-  float RowCosine(int r, const MatrixF& other, int s) const;
-
   /// Extracts rows by index.
   MatrixF GatherRows(const std::vector<int>& indices) const;
-
-  /// Horizontal concatenation [this | other].
-  MatrixF ConcatCols(const MatrixF& other) const;
 
  private:
   int rows_;
   int cols_;
   PoolSlabF data_;
 };
-
-/// Fused elementwise (a + b) -> leaky ReLU (the residual-activation kernel;
-/// f32 counterpart of ops::AddLeakyRelu's forward).
-MatrixF AddLeakyReluF(const MatrixF& a, const MatrixF& b, float slope);
 
 /// Sparse-dense product out = A * x over a CSR adjacency. When `w32` is
 /// non-null it must hold A's edge weights pre-cast to float (one cast at
@@ -186,14 +164,7 @@ MatrixF AddLeakyReluF(const MatrixF& a, const MatrixF& b, float slope);
 /// unweighted).
 MatrixF SpmmF(const Csr& a, const std::vector<float>* w32, const MatrixF& x);
 
-/// Segment sum: out.row(s) = sum of msgs rows [seg_ptr[s], seg_ptr[s+1]).
-/// seg_ptr must be a monotone partition of [0, msgs.rows()].
-MatrixF SegmentSumF(const MatrixF& msgs, const std::vector<int64_t>& seg_ptr);
-
 /// Multi-way horizontal concatenation (Eq. 11 centre-layer concat).
 MatrixF ConcatColsF(const std::vector<const MatrixF*>& parts);
-
-/// Per-row self dot products (f32 twin of pretrain.h's RowSelfDots).
-std::vector<float> RowSelfDotsF(const MatrixF& m);
 
 }  // namespace bsg

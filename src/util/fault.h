@@ -2,8 +2,9 @@
 //
 // Production code marks its trust boundaries with BSG_FAULT("site.name")
 // — checkpoint IO, subgraph builds, cache fills, queue pushes, forward
-// passes. Disarmed (the default), the macro is one relaxed atomic load and
-// a predicted-not-taken branch, so the hooks are free on the warm path.
+// passes. Disarmed (the default), the macro is one acquire atomic load (a
+// plain load on x86) and a predicted-not-taken branch, so the hooks are
+// free on the warm path.
 // Armed via FaultInjector::Configure with a spec string, each evaluation
 // of a site consults its trigger:
 //
@@ -25,7 +26,7 @@
 //
 //   "cache.fill:p=0.2;engine.forward:first=2,delay_ms=5"
 //
-// Sites are enumerated in kFaultSiteNames so a chaos soak can assert that
+// Sites are enumerated in fault::kAllSites so a chaos soak can assert that
 // every registered boundary actually fired. Fire decisions are
 // per-evaluation-index deterministic given (spec, seed): two runs that
 // evaluate a site the same number of times in the same order see the same
@@ -123,7 +124,7 @@ extern std::atomic<bool> g_fault_armed;
 }  // namespace bsg
 
 /// `if (BSG_FAULT(fault::kCacheFill)) { ...injected failure... }`
-/// Disarmed cost: one relaxed load + one predicted branch.
+/// Disarmed cost: one acquire load + one predicted branch.
 #ifdef BSG_DISABLE_FAULT_INJECTION
 #define BSG_FAULT(site) false
 #else

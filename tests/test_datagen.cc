@@ -2,9 +2,11 @@
 // method relies on must actually be present in the generated data.
 #include <cmath>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "datagen/config.h"
 #include "datagen/generator.h"
 #include "datagen/tweet_model.h"
 #include "graph/homophily.h"
@@ -153,6 +155,26 @@ TEST(Datagen, MetadataBotsHaveYoungerAccounts) {
     }
   }
   EXPECT_LT(bot_age / bots, human_age / humans);
+}
+
+TEST(Datagen, DatasetPresetResolvesTheThreeNamesAndRejectsOthers) {
+  const std::pair<const char*, DatasetConfig> presets[] = {
+      {"twibot20", Twibot20Sim()},
+      {"twibot22", Twibot22Sim()},
+      {"mgtab", MgtabSim()}};
+  for (const auto& [name, want] : presets) {
+    Result<DatasetConfig> got = DatasetPreset(name);
+    ASSERT_TRUE(got.ok()) << name;
+    EXPECT_EQ(got.ValueOrDie().name, want.name);
+    EXPECT_EQ(got.ValueOrDie().num_users, want.num_users);
+    EXPECT_EQ(got.ValueOrDie().relations, want.relations);
+    EXPECT_EQ(got.ValueOrDie().seed, want.seed);
+  }
+  for (const char* bad : {"", "twibot21", "TwiBot20", "mgtab "}) {
+    Result<DatasetConfig> got = DatasetPreset(bad);
+    EXPECT_FALSE(got.ok()) << "'" << bad << "'";
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(TopicModel, CentersAreSeparated) {

@@ -1,10 +1,9 @@
 // MatrixF: the f32 serving kernels against their f64 oracles within
 // tolerance, exact behaviours the mixed-precision contract depends on
-// (narrow/widen round trips, zero-vector cosines, gather/concat layouts),
-// NaN/Inf propagation through the branch-free kernels, and pooled storage
-// (PoolSlabF recycles through the same BufferPool free lists as Matrix).
+// (narrow/widen round trips, gather/concat layouts), NaN/Inf propagation
+// through the branch-free kernels, and pooled storage (PoolSlabF recycles
+// through the same BufferPool free lists as Matrix).
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -133,23 +132,6 @@ TEST(MatrixF, UnweightedSpmmSumsNeighbours) {
   EXPECT_EQ(out(2, 1), -1.0f);
 }
 
-TEST(MatrixF, SegmentSumMatchesManualPartition) {
-  Rng rng(19);
-  Matrix msgs = RandomMatrix(10, 4, &rng);
-  std::vector<int64_t> seg_ptr = {0, 3, 3, 7, 10};  // includes empty segment
-  MatrixF got = SegmentSumF(MatrixF::FromDouble(msgs), seg_ptr);
-  ASSERT_EQ(got.rows(), 4);
-  Matrix want(4, 4);
-  for (size_t s = 0; s + 1 < seg_ptr.size(); ++s) {
-    for (int64_t i = seg_ptr[s]; i < seg_ptr[s + 1]; ++i) {
-      for (int c = 0; c < 4; ++c) {
-        want(static_cast<int>(s), c) += msgs(static_cast<int>(i), c);
-      }
-    }
-  }
-  ExpectClose(want, got, 1e-5);
-}
-
 TEST(MatrixF, ElementwiseKernelsMatchF64Oracle) {
   Rng rng(23);
   Matrix a = RandomMatrix(9, 11, &rng);
@@ -173,17 +155,6 @@ TEST(MatrixF, ElementwiseKernelsMatchF64Oracle) {
   }
   ExpectClose(th_want, th, 1e-6);
 
-  MatrixF fused = AddLeakyReluF(MatrixF::FromDouble(a), MatrixF::FromDouble(b),
-                                0.01f);
-  Matrix fused_want(9, 11);
-  for (int r = 0; r < 9; ++r) {
-    for (int c = 0; c < 11; ++c) {
-      const double s = a(r, c) + b(r, c);
-      fused_want(r, c) = s > 0.0 ? s : 0.01 * s;
-    }
-  }
-  ExpectClose(fused_want, fused, 1e-6);
-
   MatrixF ax = MatrixF::FromDouble(a);
   ax.Axpy(0.5f, MatrixF::FromDouble(b));
   ax.Scale(2.0f);
@@ -198,28 +169,6 @@ TEST(MatrixF, ElementwiseKernelsMatchF64Oracle) {
   EXPECT_NEAR(af.Mean(), a.Mean(), 1e-5);
 }
 
-TEST(MatrixF, RowGeometryMatchesF64Oracle) {
-  Rng rng(29);
-  Matrix a = RandomMatrix(6, 16, &rng);
-  Matrix b = RandomMatrix(6, 16, &rng);
-  MatrixF af = MatrixF::FromDouble(a);
-  MatrixF bf = MatrixF::FromDouble(b);
-  for (int r = 0; r < 6; ++r) {
-    EXPECT_NEAR(af.RowNorm(r), a.RowNorm(r), 1e-4 * (1.0 + a.RowNorm(r)));
-    EXPECT_NEAR(af.RowCosine(r, bf, 5 - r), a.RowCosine(r, b, 5 - r), 1e-4);
-  }
-  // Zero rows report cosine 0, mirroring Matrix::RowCosine.
-  MatrixF z(2, 16);
-  EXPECT_EQ(z.RowCosine(0, bf, 0), 0.0f);
-
-  std::vector<float> dots = RowSelfDotsF(af);
-  ASSERT_EQ(dots.size(), 6u);
-  for (int r = 0; r < 6; ++r) {
-    EXPECT_NEAR(dots[r], a.RowNorm(r) * a.RowNorm(r),
-                1e-3 * (1.0 + a.RowNorm(r) * a.RowNorm(r)));
-  }
-}
-
 TEST(MatrixF, GatherAndConcatPreserveLayout) {
   Rng rng(31);
   Matrix a = RandomMatrix(8, 3, &rng);
@@ -232,15 +181,13 @@ TEST(MatrixF, GatherAndConcatPreserveLayout) {
       EXPECT_EQ(g(static_cast<int>(i), c), af(idx[i], c));
     }
   }
-  MatrixF cat = g.ConcatCols(g);
-  ASSERT_EQ(cat.cols(), 6);
   std::vector<const MatrixF*> parts = {&g, &g, &g};
   MatrixF cat3 = ConcatColsF(parts);
   ASSERT_EQ(cat3.cols(), 9);
   for (int r = 0; r < 4; ++r) {
     for (int c = 0; c < 3; ++c) {
-      EXPECT_EQ(cat(r, c), g(r, c));
-      EXPECT_EQ(cat(r, c + 3), g(r, c));
+      EXPECT_EQ(cat3(r, c), g(r, c));
+      EXPECT_EQ(cat3(r, c + 3), g(r, c));
       EXPECT_EQ(cat3(r, c + 6), g(r, c));
     }
   }
