@@ -40,7 +40,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <future>
+#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -141,47 +143,40 @@ std::FILE* OpenScoreOut(const FlagParser& flags) {
   return out;
 }
 
-// Rejects ids outside [0, num_nodes) before they can index anything.
-bool ValidateTargets(const std::vector<int>& targets, int num_nodes) {
-  for (int t : targets) {
-    if (t < 0 || t >= num_nodes) {
-      std::fprintf(stderr, "id %d out of range [0, %d)\n", t, num_nodes);
-      return false;
-    }
-  }
-  return true;
-}
-
 // Accounts to score: --ids, --ids-file, "-" (stdin), else the test split.
-std::vector<int> ResolveTargets(const FlagParser& flags,
-                                const HeteroGraph& graph) {
-  std::vector<int> ids;
-  if (flags.Has("ids")) {
-    for (const std::string& tok :
-         SplitString(flags.GetString("ids", ""), ',')) {
-      if (!tok.empty()) ids.push_back(std::atoi(tok.c_str()));
-    }
-    return ids;
-  }
+// Empty ids and blank lines are skipped; a non-integer or out-of-range id
+// and an unreadable ids file are errors.
+Result<std::vector<int>> ResolveTargets(const FlagParser& flags,
+                                        const HeteroGraph& graph) {
+  std::vector<std::string> tokens;
   const bool from_stdin = !flags.positional().empty() &&
                           flags.positional().front() == "-";
-  if (flags.Has("ids-file") || from_stdin) {
-    std::FILE* f = from_stdin
-                       ? stdin
-                       : std::fopen(flags.GetString("ids-file", "").c_str(),
-                                    "r");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open ids file\n");
-      return ids;
+  if (flags.Has("ids")) {
+    tokens = SplitString(flags.GetString("ids", ""), ',');
+  } else if (flags.Has("ids-file") || from_stdin) {
+    const std::string path = flags.GetString("ids-file", "");
+    std::ifstream file;
+    if (!from_stdin) {
+      file.open(path);
+      if (!file) return Status::NotFound("cannot open ids file '" + path + "'");
     }
-    char line[64];
-    while (std::fgets(line, sizeof(line), f) != nullptr) {
-      if (line[0] != '\n' && line[0] != '\0') ids.push_back(std::atoi(line));
-    }
-    if (!from_stdin) std::fclose(f);
-    return ids;
+    std::istream& in = from_stdin ? std::cin : file;
+    for (std::string line; std::getline(in, line);) tokens.push_back(line);
+  } else {
+    return graph.test_idx;
   }
-  return graph.test_idx;
+  std::vector<int> ids;
+  for (const std::string& tok : tokens) {
+    if (tok.empty()) continue;
+    Result<int> id = ParseInt(tok);
+    if (!id.ok()) return Status::InvalidArgument("bad account id: " + tok);
+    if (id.ValueOrDie() < 0 || id.ValueOrDie() >= graph.num_nodes) {
+      return Status::OutOfRange(StrFormat("id %d out of range [0, %d)",
+                                          id.ValueOrDie(), graph.num_nodes));
+    }
+    ids.push_back(id.ValueOrDie());
+  }
+  return ids;
 }
 
 // The pipeline's fitted normalisation state, persisted so a serving
@@ -398,8 +393,12 @@ int TrainAndSave(const FlagParser& flags, const std::string& ckpt_path) {
 
   // Emit the in-memory model's scores — the oracle the serve path must
   // reproduce bit-for-bit.
-  std::vector<int> targets = ResolveTargets(flags, graph);
-  if (!ValidateTargets(targets, graph.num_nodes)) return 1;
+  Result<std::vector<int>> resolved = ResolveTargets(flags, graph);
+  if (!resolved.ok()) {
+    std::fprintf(stderr, "%s\n", resolved.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<int>& targets = resolved.ValueOrDie();
   std::FILE* out = OpenScoreOut(flags);
   if (out == nullptr) return 1;
   Matrix logits = model.PredictLogits(targets);
@@ -577,8 +576,12 @@ int Serve(const FlagParser& flags, const std::string& ckpt_path) {
     exporter = std::make_unique<obs::MetricsExporter>(mopts);
   }
 
-  std::vector<int> targets = ResolveTargets(flags, graph);
-  if (!ValidateTargets(targets, graph.num_nodes)) return 1;
+  Result<std::vector<int>> resolved = ResolveTargets(flags, graph);
+  if (!resolved.ok()) {
+    std::fprintf(stderr, "%s\n", resolved.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<int>& targets = resolved.ValueOrDie();
   std::FILE* out = OpenScoreOut(flags);
   if (out == nullptr) return 1;
   const bool single = flags.Has("single");

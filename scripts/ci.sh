@@ -32,10 +32,13 @@
 #    JSON-lines output (logits at %.17g) against the in-memory model's —
 #    the bit-identity contract of the serving subsystem, end to end; then
 #    re-serve through the concurrent front-end at --workers=1 and
-#    --workers=4 and diff those too (worker count must not perturb logits)
-# 6. BSG_MARCH_NATIVE=ON build running the f32 suites: the mixed-precision
-#    parity tolerance must hold under full-width SIMD codegen too, not just
-#    the portable baseline
+#    --workers=4 and diff those too (worker count must not perturb logits);
+#    non-integer --ids and a missing --ids-file must exit non-zero
+# 6. BSG_MARCH_NATIVE=ON build running the f32 suites and
+#    test_serve_engine: the mixed-precision parity tolerance must hold
+#    under full-width SIMD codegen too, and the engine's f64 inference
+#    forward must stay bit-identical to the autograd PredictLogits when
+#    the compiler may contract a*b+c into FMA
 # 7. ASan+UBSan build + run of the failure-path suites (test_fault,
 #    test_checkpoint, test_subgraph_cache, test_frontend,
 #    test_serve_engine): injected faults drive the error/unwind paths that
@@ -125,6 +128,13 @@ trap 'rm -rf "$SERVE_TMP"' EXIT
   --score-out="$SERVE_TMP/serve_scores.jsonl" --stats
 diff "$SERVE_TMP/train_scores.jsonl" "$SERVE_TMP/serve_scores.jsonl"
 echo "serve smoke: checkpointed engine logits bit-identical to the trained model"
+# Bad id input must exit non-zero, never score some other account.
+if "$BUILD_DIR/examples/serve_cli" --ckpt="$SERVE_TMP/model.ckpt" \
+    --ids=abc,5x; then echo "non-integer --ids accepted"; exit 1; fi
+if "$BUILD_DIR/examples/serve_cli" --ckpt="$SERVE_TMP/model.ckpt" \
+    --ids-file="$SERVE_TMP/missing_ids.txt"; then
+  echo "unreadable --ids-file accepted"; exit 1; fi
+echo "serve smoke: bad --ids and a missing --ids-file exit non-zero"
 
 echo "=== concurrent serve smoke (--workers=4 vs --workers=1 logit diff) ==="
 "$BUILD_DIR/examples/serve_cli" --ckpt="$SERVE_TMP/model.ckpt" \
@@ -265,16 +275,17 @@ print(f"budgeted serve conserved exactly: {int(req_in)} requests "
 PYEOF
 echo "memory-governance smoke: budgeted serve conserved, no OOM"
 
-echo "=== BSG_MARCH_NATIVE=ON: f32 parity under native SIMD ==="
+echo "=== BSG_MARCH_NATIVE=ON: f32 parity, f64 bit-identity (native SIMD) ==="
 NATIVE_BUILD_DIR="${BUILD_DIR}-native"
 cmake -B "$NATIVE_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
   -DBSG_MARCH_NATIVE=ON -DBSG_BUILD_BENCHES=OFF
 cmake --build "$NATIVE_BUILD_DIR" -j "$JOBS" \
-  --target test_matrix_f test_f32_parity test_batch_stacker
+  --target test_matrix_f test_f32_parity test_batch_stacker test_serve_engine
 "$NATIVE_BUILD_DIR/test_matrix_f"
 "$NATIVE_BUILD_DIR/test_f32_parity"
 "$NATIVE_BUILD_DIR/test_batch_stacker"
-echo "native-SIMD f32 suites green"
+"$NATIVE_BUILD_DIR/test_serve_engine"
+echo "native-SIMD f32 and f64 serving suites green"
 
 echo "=== ASan+UBSan: failure-path suites ==="
 ASAN_BUILD_DIR="${BUILD_DIR}-asan"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <numeric>
+#include <type_traits>
 
 #include "tensor/optim.h"
 #include "util/logging.h"
@@ -60,7 +61,8 @@ void Bsg4Bot::Prepare() {
   }
 }
 
-Tensor Bsg4Bot::ForwardBatch(const SubgraphBatch& batch, bool training) {
+Tensor Bsg4Bot::ForwardBatch(const SubgraphBatch& batch, bool training,
+                             std::vector<double>* beta) {
   const int R = graph_.num_relations();
   // Pre-draw the per-tower dropout masks in relation order on this thread:
   // the RNG stream is consumed exactly as in a serial tower loop, so the
@@ -112,8 +114,9 @@ Tensor Bsg4Bot::ForwardBatch(const SubgraphBatch& batch, bool training) {
     }
   });
   // Eq. 12-14 (or the mean-pooling ablation).
-  Tensor fused = cfg_.use_semantic_attention ? fuse_.Forward(per_relation)
-                                             : MeanPoolRelations(per_relation);
+  Tensor fused = cfg_.use_semantic_attention
+                     ? fuse_.Forward(per_relation, beta)
+                     : MeanPoolRelations(per_relation);
   fused = ops::Dropout(fused, cfg_.dropout, training, &rng_);
   return head_.Forward(fused);  // Eq. 15
 }
@@ -321,10 +324,6 @@ double Bsg4Bot::TransferEvaluate(Bsg4Bot* other,
     all[i] = static_cast<int>(i);
   }
   return Evaluate(logits, local_labels, all).accuracy;
-}
-
-const std::vector<double>& Bsg4Bot::relation_weights() const {
-  return fuse_.last_weights();
 }
 
 namespace {
@@ -572,9 +571,151 @@ BiasedSubgraph Bsg4Bot::AssembleSubgraph(int center) const {
                              &hidden_self_dots_);
 }
 
-Matrix Bsg4Bot::ScoreBatch(const SubgraphBatch& batch) {
-  Tensor logits = ForwardBatch(batch, /*training=*/false);
-  return logits->value;
+namespace {
+
+// The weights an InferenceForward instance reads in place: the live
+// parameters (Layer = Linear) or the f32 shadow (Layer = LinearF32).
+template <typename M, typename Layer>
+struct ForwardWeights {
+  const M& features;
+  const Layer& input;
+  const std::vector<std::vector<Layer>>& gcn;
+  const Layer* sem_proj;  // read only under semantic attention, as is
+  const M* sem_q;         // sem_q (null in the f64 mean-pool instance)
+  const Layer& head;
+};
+
+Matrix Affine(const Matrix& x, const Linear& l) {
+  return x.MatMulAddBias(l.weight()->value, l.bias()->value);
+}
+MatrixF Affine(const MatrixF& x, const LinearF32& l) {
+  return x.MatMulAddBias(l.w, l.b);
+}
+Matrix Aggregate(const SubgraphBatch& batch, int r, const Matrix& x) {
+  return Spmm(*batch.rel_adjs[r].fwd, x);
+}
+MatrixF Aggregate(const SubgraphBatch& batch, int r, const MatrixF& x) {
+  return Spmm(*batch.rel_adjs[r].fwd, batch.RelWeightsF32(r), x);
+}
+Matrix ToDouble(Matrix m) { return m; }
+Matrix ToDouble(const MatrixF& m) { return m.ToDouble(); }
+
+// Eq. 9-15 with dropout off, once for both matrix types. Each step is the
+// kernel ForwardBatch's autograd op calls, in the same order, so the Matrix
+// instance reproduces the training forward bit for bit. beta is f64 in
+// both instances.
+template <typename M, typename Layer>
+BatchInference InferenceForward(const SubgraphBatch& batch,
+                                const Bsg4BotConfig& cfg,
+                                const ForwardWeights<M, Layer>& w) {
+  using Scalar = typename M::Scalar;
+  const int R = static_cast<int>(w.gcn.size());
+  const Scalar slope = static_cast<Scalar>(cfg.leaky_slope);
+  std::vector<M> per_relation(static_cast<size_t>(R));
+  ParallelFor(0, R, 1, [&](int64_t r0, int64_t r1) {
+    for (int r = static_cast<int>(r0); r < static_cast<int>(r1); ++r) {
+      const std::vector<int>& centre_rows = batch.rel_center_rows[r];
+      std::vector<M> centre;  // the layers' centre rows Eq. 11 combines
+      M h = Affine(w.features.GatherRows(batch.rel_node_ids[r]), w.input);
+      h.LeakyReluInPlace(slope);  // Eq. 9
+      for (int l = 0;; ++l) {
+        if (cfg.use_intermediate_concat || l == cfg.gnn_layers) {
+          centre.push_back(h.GatherRows(centre_rows));
+        }
+        if (l == cfg.gnn_layers) break;
+        h = Affine(Aggregate(batch, r, h), w.gcn[r][l]);
+        h.LeakyReluInPlace(slope);  // Eq. 10
+      }
+      std::vector<const M*> parts;
+      for (const M& c : centre) parts.push_back(&c);
+      per_relation[r] = parts.size() == 1 ? std::move(centre[0])
+                                          : ConcatCols(parts);  // Eq. 11
+    }
+  });
+  BatchInference out;
+  if (cfg.use_semantic_attention) {
+    Matrix importance(1, R);
+    for (int r = 0; r < R; ++r) {
+      M s = Affine(per_relation[r], *w.sem_proj);
+      s.TanhInPlace();
+      importance(0, r) = s.MatMul(*w.sem_q).Mean();  // Eq. 12
+    }
+    const Matrix beta = SoftmaxRowsValue(importance);  // Eq. 13
+    out.beta.assign(beta.data(), beta.data() + R);
+    for (int r = 0; r < R; ++r) {
+      per_relation[r].Scale(static_cast<Scalar>(out.beta[r]));
+    }
+  }
+  M fused = std::move(per_relation[0]);
+  for (int r = 1; r < R; ++r) fused.Add(per_relation[r]);  // Eq. 14
+  if (!cfg.use_semantic_attention) {  // the mean-pooling ablation
+    fused.Scale(static_cast<Scalar>(1.0 / static_cast<double>(R)));
+  }
+  out.logits = ToDouble(Affine(fused, w.head));  // Eq. 15
+  return out;
+}
+
+LinearF32 ConvertLinear(const Linear& l) {
+  return LinearF32{MatrixF::FromDouble(l.weight()->value),
+                   MatrixF::FromDouble(l.bias()->value)};
+}
+
+}  // namespace
+
+template <typename M>
+BatchInference Bsg4Bot::InferBatch(const SubgraphBatch& batch) const {
+  if constexpr (std::is_same_v<M, Matrix>) {
+    const bool att = cfg_.use_semantic_attention;
+    return InferenceForward(
+        batch, cfg_,
+        ForwardWeights<Matrix, Linear>{
+            features_->value, input_, gcn_, att ? &fuse_.proj() : nullptr,
+            att ? &fuse_.q()->value : nullptr, head_});
+  } else {
+    BSG_CHECK(f32_ != nullptr, "f32 InferBatch before EnsureF32Shadow()");
+    const Bsg4BotF32& m = *f32_;
+    return InferenceForward(
+        batch, cfg_,
+        ForwardWeights<MatrixF, LinearF32>{m.features, m.input, m.gcn,
+                                           &m.sem_proj, &m.sem_q, m.head});
+  }
+}
+template BatchInference Bsg4Bot::InferBatch<Matrix>(
+    const SubgraphBatch&) const;
+template BatchInference Bsg4Bot::InferBatch<MatrixF>(
+    const SubgraphBatch&) const;
+
+Matrix Bsg4Bot::ScoreBatch(const SubgraphBatch& batch) const {
+  return InferBatch<Matrix>(batch).logits;
+}
+
+Matrix Bsg4Bot::ScoreBatchF32(const SubgraphBatch& batch) const {
+  return InferBatch<MatrixF>(batch).logits;
+}
+
+void Bsg4Bot::EnsureF32Shadow() {
+  if (f32_ == nullptr) RefreshF32Shadow();
+}
+
+void Bsg4Bot::RefreshF32Shadow() {
+  BSG_CHECK(inference_ready(),
+            "f32 shadow without pre-classifier state "
+            "(run Prepare()/Fit() or restore a checkpoint)");
+  auto shadow = std::make_unique<Bsg4BotF32>();
+  shadow->features = MatrixF::FromDouble(graph_.features);
+  shadow->input = ConvertLinear(input_);
+  shadow->gcn.resize(gcn_.size());
+  for (size_t r = 0; r < gcn_.size(); ++r) {
+    for (const Linear& layer : gcn_[r]) {
+      shadow->gcn[r].push_back(ConvertLinear(layer));
+    }
+  }
+  if (cfg_.use_semantic_attention) {
+    shadow->sem_proj = ConvertLinear(fuse_.proj());
+    shadow->sem_q = MatrixF::FromDouble(fuse_.q()->value);
+  }
+  shadow->head = ConvertLinear(head_);
+  f32_ = std::move(shadow);
 }
 
 }  // namespace bsg

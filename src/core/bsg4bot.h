@@ -9,17 +9,20 @@
 //      (Eq. 12-14), softmax head (Eq. 15), cross-entropy + L2 (Eq. 16).
 //
 // Ablation switches reproduce every Table V row.
+//
+// Two forwards compute Eq. 9-15: the autograd ForwardBatch (training,
+// validation, PredictLogits) and the const InferBatch (serving).
 #pragma once
 
 #include <memory>
 
 #include "core/biased_subgraph.h"
-#include "core/bsg4bot_f32.h"
 #include "core/pretrain.h"
 #include "core/semantic_attention.h"
 #include "core/subgraph_batch.h"
 #include "graph/hetero_graph.h"
 #include "io/checkpoint.h"
+#include "tensor/matrix_f.h"
 #include "train/trainer.h"
 
 namespace bsg {
@@ -53,6 +56,31 @@ struct Bsg4BotConfig {
 
   uint64_t seed = 1;
   bool verbose = false;
+};
+
+/// One affine layer's weights, narrowed to f32.
+struct LinearF32 {
+  MatrixF w;  ///< in_dim x out_dim
+  MatrixF b;  ///< 1 x out_dim
+};
+
+/// The f32 shadow of a frozen model: the weights struct of
+/// InferBatch<MatrixF>, converted once from the f64 parameters (see
+/// EnsureF32Shadow). Subgraph assembly stays f64 in both precisions (they
+/// share cache entries), so it holds no pre-classifier state.
+struct Bsg4BotF32 {
+  MatrixF features;  ///< num_nodes x feature_dim node features
+  LinearF32 input;                          ///< shared transform (Eq. 9)
+  std::vector<std::vector<LinearF32>> gcn;  ///< [relation][layer] (Eq. 10)
+  LinearF32 sem_proj;  ///< semantic-attention projection W, b (Eq. 12)
+  MatrixF sem_q;       ///< semantic vector q, att_dim x 1 (Eq. 12)
+  LinearF32 head;      ///< classifier head (Eq. 15)
+};
+
+/// What the inference forward returns for one batch.
+struct BatchInference {
+  Matrix logits;             ///< |batch centres| x 2 (f32 runs widened)
+  std::vector<double> beta;  ///< Eq. 13 relation weights; empty if mean-pooled
 };
 
 /// The trained system. Construction is cheap; Prepare() runs phases 1-2,
@@ -133,26 +161,34 @@ class Bsg4Bot : private MiniBatchProgram {
   /// from a prefetcher producer thread; the serving cache wraps this.
   BiasedSubgraph AssembleSubgraph(int center) const;
 
-  /// Inference logits (|batch centres| x 2) over an externally assembled
-  /// batch (the DetectionEngine's forward entry point).
-  Matrix ScoreBatch(const SubgraphBatch& batch);
+  /// The inference forward (Eq. 9-15, dropout off) over an externally
+  /// assembled batch: one const function template for both serving
+  /// precisions, writing no model state. M = Matrix reads the live f64
+  /// parameters in place and runs the kernels of the training forward in
+  /// its op order, so its logits are bit-identical to PredictLogits';
+  /// M = MatrixF reads the f32 shadow (requires EnsureF32Shadow()).
+  template <typename M>
+  BatchInference InferBatch(const SubgraphBatch& batch) const;
 
-  // --- mixed-precision serving (core/bsg4bot_f32.h) ---
+  /// f64 logits (|batch centres| x 2): the DetectionEngine's forward.
+  Matrix ScoreBatch(const SubgraphBatch& batch) const;
+
+  // --- mixed-precision serving ---
 
   /// Materialises the f32 shadow of the frozen model if absent: one
-  /// narrowing pass over every weight, the features and the pre-classifier
-  /// state. Call once the model is final (after Fit() or a restore);
+  /// narrowing pass over every weight and the features. Call once the
+  /// model is final (after Fit() or a restore);
   /// RestoreFromCheckpoint refreshes an existing shadow in place, so a
   /// checkpoint reload can never leave it stale. Mutating parameters any
   /// other way (training, TransferEvaluate) drops or invalidates it.
   void EnsureF32Shadow();
   bool has_f32_shadow() const { return f32_ != nullptr; }
 
-  /// f32 forward over an externally assembled batch, widened to f64 logits
-  /// (|batch centres| x 2). Requires EnsureF32Shadow(). No bit-exactness
-  /// contract: agrees with ScoreBatch within the tolerance documented in
-  /// README "Mixed-precision serving" (asserted by tests/test_f32_parity);
-  /// the f64 path remains the accuracy oracle.
+  /// f32 logits widened to f64 (|batch centres| x 2). Requires
+  /// EnsureF32Shadow(). No bit-exactness contract: agrees with ScoreBatch
+  /// within the tolerance documented in README "Mixed-precision serving"
+  /// (asserted by tests/test_f32_parity); the f64 path remains the
+  /// accuracy oracle.
   Matrix ScoreBatchF32(const SubgraphBatch& batch) const;
 
   const Bsg4BotConfig& config() const { return cfg_; }
@@ -162,8 +198,6 @@ class Bsg4Bot : private MiniBatchProgram {
   const std::vector<BiasedSubgraph>& subgraphs() const { return subgraphs_; }
   double prepare_seconds() const { return prepare_seconds_; }
   int64_t NumParameters() const { return store_.NumParameters(); }
-  /// Relation weights beta from the last forward (diagnostics).
-  const std::vector<double>& relation_weights() const;
 
  private:
   void BuildNetwork();
@@ -172,11 +206,15 @@ class Bsg4Bot : private MiniBatchProgram {
   /// Fixes batch composition (one shuffle of train_idx) and assembles the
   /// validation batches. Idempotent.
   void EnsureBatchComposition();
-  /// Logits (|centers| x 2) for one assembled batch. Per-relation towers
-  /// run as parallel pool tasks; dropout masks are pre-drawn in relation
-  /// order on the calling thread, so results are bit-identical at any
-  /// thread count.
-  Tensor ForwardBatch(const SubgraphBatch& batch, bool training);
+  /// The autograd training forward: logits (|centers| x 2) for one
+  /// assembled batch, and the f64 oracle InferBatch<Matrix> is tested
+  /// against. Per-relation towers run as parallel pool tasks; dropout
+  /// masks are pre-drawn in relation order on the calling thread, so
+  /// results are bit-identical at any thread count. `beta`, when
+  /// non-null, receives the relation weights (Eq. 13).
+  Tensor ForwardBatch(const SubgraphBatch& batch, bool training,
+                      std::vector<double>* beta = nullptr);
+  friend class Bsg4BotTestPeer;  // tests reach the oracle ForwardBatch
 
   // MiniBatchProgram (the TrainMiniBatch driver's view of this model).
   int NumTrainBatches() const override;

@@ -9,7 +9,8 @@ SemanticAttention::SemanticAttention(int dim, int att_dim, ParamStore* store,
 }
 
 Tensor SemanticAttention::Forward(
-    const std::vector<Tensor>& relation_embeddings) const {
+    const std::vector<Tensor>& relation_embeddings,
+    std::vector<double>* beta) const {
   BSG_CHECK(!relation_embeddings.empty(), "semantic attention on 0 relations");
   BSG_CHECK(q_ != nullptr, "SemanticAttention used before initialisation");
   const size_t R = relation_embeddings.size();
@@ -23,9 +24,8 @@ Tensor SemanticAttention::Forward(
   Tensor stacked = ops::ConcatCols(importances);  // 1 x R
   Tensor betas = ops::SoftmaxRows(stacked);       // 1 x R
 
-  last_weights_.assign(R, 0.0);
-  for (size_t r = 0; r < R; ++r) {
-    last_weights_[r] = betas->value(0, static_cast<int>(r));
+  if (beta != nullptr) {
+    beta->assign(betas->value.data(), betas->value.data() + R);
   }
 
   Tensor out;

@@ -26,20 +26,18 @@ class SemanticAttention {
                     const std::string& name = "sematt");
 
   /// Fuses the per-relation embeddings (all n x dim). Returns n x dim.
-  Tensor Forward(const std::vector<Tensor>& relation_embeddings) const;
+  /// When `beta` is non-null it receives the relation weights (Eq. 13).
+  Tensor Forward(const std::vector<Tensor>& relation_embeddings,
+                 std::vector<double>* beta = nullptr) const;
 
-  /// Relation weights beta from the last Forward call (diagnostics).
-  const std::vector<double>& last_weights() const { return last_weights_; }
-
-  /// The learned parameters, exposed for the f32 serving shadow's one-time
-  /// weight conversion (core/bsg4bot_f32.h).
+  /// The learned parameters, read in place by BSG4Bot's inference forward
+  /// and converted once into its f32 shadow.
   const Linear& proj() const { return proj_; }
   const Tensor& q() const { return q_; }
 
  private:
   Linear proj_;   // W, b
   Tensor q_;      // att_dim x 1 semantic vector
-  mutable std::vector<double> last_weights_;
 };
 
 /// Mean-pooling fallback used by the Table V ablation ("replacing semantic

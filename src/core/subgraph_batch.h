@@ -26,7 +26,7 @@ struct SubgraphBatch {
 
   /// Per relation r: rel_adjs[r].fwd's edge weights pre-cast to float, so
   /// the f32 serving SpMM streams 4-byte weights. Empty unless a producer
-  /// stacking for the f32 path filled it (SpmmF falls back to casting the
+  /// stacking for the f32 path filled it (Spmm falls back to casting the
   /// doubles per edge); shared_ptr so recycling can pool the buffers.
   std::vector<std::shared_ptr<const std::vector<float>>> rel_weights_f32;
 

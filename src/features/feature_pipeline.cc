@@ -140,7 +140,7 @@ HeteroGraph BuildGraph(const RawDataset& raw, const FeaturePipelineConfig& cfg,
     if (cursor == 0) {
       // First block already placed (features initialised from it).
     } else {
-      features = features.ConcatCols(block);
+      features = ConcatCols<Matrix>({&features, &block});
     }
     g.feature_blocks[name] = FeatureBlock{cursor, block.cols()};
     cursor += block.cols();
@@ -149,7 +149,7 @@ HeteroGraph BuildGraph(const RawDataset& raw, const FeaturePipelineConfig& cfg,
   add_block("tweet", MeanTweetEmbedding(raw));
   add_block("num", z_num);
   add_block("cat", z_cat);
-  add_block("category", category_count_z.ConcatCols(category_pct));
+  add_block("category", ConcatCols<Matrix>({&category_count_z, &category_pct}));
   add_block("temporal", temporal);
   g.features = std::move(features);
 

@@ -11,20 +11,8 @@ SlimGModel::SlimGModel(const HeteroGraph& graph, ModelConfig cfg,
   Matrix design = graph.features;
   Matrix hop = graph.features;
   for (int h = 0; h < cfg_.slimg_hops; ++h) {
-    Matrix next(hop.rows(), hop.cols());
-    for (int u = 0; u < adj.num_nodes(); ++u) {
-      double* o = next.row(u);
-      const int* nb = adj.NeighborsBegin(u);
-      const double* w = adj.WeightsBegin(u);
-      int deg = adj.Degree(u);
-      for (int e = 0; e < deg; ++e) {
-        const double* src = hop.row(nb[e]);
-        double weight = w ? w[e] : 1.0;
-        for (int c = 0; c < hop.cols(); ++c) o[c] += weight * src[c];
-      }
-    }
-    hop = std::move(next);
-    design = design.ConcatCols(hop);
+    hop = Spmm(adj, hop);
+    design = ConcatCols<Matrix>({&design, &hop});
   }
   propagated_ = MakeTensor(std::move(design), /*requires_grad=*/false);
   fc_ = Linear(propagated_->cols(), cfg_.num_classes, &store_, &rng_,

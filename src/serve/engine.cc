@@ -289,10 +289,9 @@ Status DetectionEngine::ScoreAssembled(CallScratch& cs,
   }
   const uint64_t fwd_start = obs::TraceNowNs();
   {
-    // One forward at a time (shared autograd parameters + the single-slot
-    // parallel pool); other callers keep assembling meanwhile. Arena-scoped
-    // so the logits graph's transient slabs return to the pool when
-    // `logits` dies — warm requests allocate nothing new.
+    // One forward at a time (the single-slot parallel pool); other callers
+    // keep assembling meanwhile. The arena counts the forward's pool
+    // acquisitions and hits for the engine stats.
     std::lock_guard<std::mutex> fwd(forward_mu_);
     TensorArena arena;
     Matrix logits = cfg_.precision == EngineConfig::Precision::kF32

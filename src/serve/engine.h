@@ -15,9 +15,8 @@
 //     its chunks through the training stack's BatchPrefetcher, whose
 //     producer thread assembles chunk i+1 — cache probes plus any misses —
 //     while the caller runs the forward pass over chunk i;
-//   - every forward pass runs under a TensorArena scope, so serving
-//     inherits the zero-allocation hot path (warm requests run on pool
-//     hits);
+//   - every forward pass runs under a TensorArena scope, which counts its
+//     pool acquisitions and hits (warm requests run on pool hits);
 //   - engine startup calls BufferPool::Trim(): training's peak working set
 //     is cold once the model is frozen, and the trimmed bytes are reported
 //     in the engine stats (the train->inference phase policy);
@@ -25,9 +24,10 @@
 //     block-diagonal + normalisation into recycled storage), so warm
 //     serving performs ~0 heap allocations per batch for stacking;
 //   - EngineConfig::precision selects the scoring arithmetic: kF64 (the
-//     default and the accuracy oracle — logits bit-identical to
-//     PredictLogits) or kF32, which scores through the model's one-time
-//     converted float shadow (vectorized kernels, no autograd graph).
+//     default; logits bit-identical to PredictLogits) or kF32, which
+//     scores through the model's one-time converted float shadow. Both run
+//     the model's one const inference forward (Bsg4Bot::InferBatch), with
+//     no autograd graph.
 //     Subgraph assembly stays f64 in both modes, so cache entries are
 //     shared and both precisions score identical subgraphs; f32 logits
 //     agree with the oracle within the tolerance documented in README
@@ -56,11 +56,11 @@
 //     whenever the scratch is back on the free list. Engine counters are
 //     atomics and every per-scratch structure is internally locked, so
 //     Stats() is safe to poll from a monitoring thread mid-request.
-//   - Model forward passes are serialised on an internal mutex: Bsg4Bot's
-//     forward builds an autograd graph over shared parameter tensors and
-//     the util/parallel pool single-files parallel regions anyway, so the
-//     win from concurrency is overlapping one caller's forward with every
-//     other caller's assembly (and with coalesced cache misses).
+//   - Model forward passes are serialised on an internal mutex. The
+//     forward itself is const and writes no model state, but the
+//     util/parallel pool single-files parallel regions, so the win from
+//     concurrency is overlapping one caller's forward with every other
+//     caller's assembly (and with coalesced cache misses).
 //   - SwapModel requires external quiescence: no scoring call may be in
 //     flight (ServingFrontend::SwapGraph provides exactly that
 //     barrier). Stats/cache reads may continue during a swap.

@@ -24,6 +24,8 @@ constexpr int kColGrain = 8;
 // (per-batch 1x1 losses, semantic-attention score means) byte-stable —
 // while bigger matrices chunk deterministically through ParallelSum.
 constexpr int64_t kReduceGrain = 4096;
+// Destination-row grain for SpMM: each chunk owns a range of output rows.
+constexpr int kSpRowGrain = 64;
 
 }  // namespace
 
@@ -343,15 +345,38 @@ std::vector<double> Matrix::ColStddevs() const {
   return sd;
 }
 
-Matrix Matrix::ConcatCols(const Matrix& other) const {
-  BSG_CHECK(rows_ == other.rows_, "ConcatCols row mismatch");
-  // Full-write kernel: the two copies cover every output column.
-  Matrix out = Matrix::Uninit(rows_, cols_ + other.cols_);
-  for (int i = 0; i < rows_; ++i) {
-    std::copy(row(i), row(i) + cols_, out.row(i));
-    std::copy(other.row(i), other.row(i) + other.cols_, out.row(i) + cols_);
+void Matrix::LeakyReluInPlace(double slope) {
+  for (auto& v : data_) {
+    if (v < 0.0) v *= slope;
   }
+}
+
+void Matrix::TanhInPlace() {
+  for (auto& v : data_) v = std::tanh(v);
+}
+
+Matrix Spmm(const Csr& a, const Matrix& x) {
+  BSG_CHECK(a.num_nodes() == x.rows(), "Spmm shape mismatch");
+  Matrix out(a.num_nodes(), x.cols());
+  SpmmAccumulate(a, x, &out);
   return out;
+}
+
+void SpmmAccumulate(const Csr& a, const Matrix& x, Matrix* out) {
+  const int d = x.cols();
+  ParallelFor(0, a.num_nodes(), kSpRowGrain, [&](int64_t u0, int64_t u1) {
+    for (int u = static_cast<int>(u0); u < static_cast<int>(u1); ++u) {
+      double* o = out->row(u);
+      const int* nb = a.NeighborsBegin(u);
+      const int* ne = a.NeighborsEnd(u);
+      const double* w = a.WeightsBegin(u);
+      for (const int* p = nb; p != ne; ++p) {
+        double weight = w ? w[p - nb] : 1.0;
+        const double* xr = x.row(*p);
+        for (int c = 0; c < d; ++c) o[c] += weight * xr[c];
+      }
+    }
+  });
 }
 
 std::string Matrix::DebugString() const {

@@ -15,10 +15,12 @@
 // element).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
 
+#include "graph/csr.h"
 #include "util/buffer_pool.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -28,6 +30,8 @@ namespace bsg {
 /// Dense row-major matrix of doubles.
 class Matrix {
  public:
+  using Scalar = double;
+
   Matrix() : rows_(0), cols_(0) {}
   Matrix(int rows, int cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(static_cast<size_t>(rows) * cols) {
@@ -104,6 +108,10 @@ class Matrix {
   void Axpy(double alpha, const Matrix& other);
   /// this *= alpha elementwise.
   void Scale(double alpha);
+  /// Elementwise leaky ReLU in place: negative entries times `slope`.
+  void LeakyReluInPlace(double slope);
+  /// Elementwise tanh in place.
+  void TanhInPlace();
 
   /// Dense matrix product: returns this * other.
   Matrix MatMul(const Matrix& other) const;
@@ -144,9 +152,6 @@ class Matrix {
   std::vector<double> ColMeans() const;
   std::vector<double> ColStddevs() const;
 
-  /// Horizontal concatenation [this | other] (row counts must match).
-  Matrix ConcatCols(const Matrix& other) const;
-
   /// Compact debug representation (shape + a few entries).
   std::string DebugString() const;
 
@@ -155,5 +160,32 @@ class Matrix {
   int cols_;
   PoolSlab data_;
 };
+
+/// Sparse-dense product out = A * x with A's per-edge weights (unit if A
+/// is unweighted), into a zero-filled result.
+Matrix Spmm(const Csr& a, const Matrix& x);
+/// out += A * x. Parallel over destination rows; each row accumulates in
+/// CSR order, so the result is bit-identical at any thread count.
+void SpmmAccumulate(const Csr& a, const Matrix& x, Matrix* out);
+
+/// Multi-way horizontal concatenation of matrices with equal row counts,
+/// for Matrix and MatrixF alike.
+template <typename M>
+M ConcatCols(const std::vector<const M*>& parts) {
+  BSG_CHECK(!parts.empty(), "ConcatCols on no parts");
+  const int rows = parts[0]->rows();
+  int total_cols = 0;
+  for (const M* p : parts) {
+    BSG_CHECK(p->rows() == rows, "ConcatCols row mismatch");
+    total_cols += p->cols();
+  }
+  // Full-write kernel: the parts' copies cover every output column.
+  M out = M::Uninit(rows, total_cols);
+  for (int i = 0; i < rows; ++i) {
+    auto* o = out.row(i);
+    for (const M* p : parts) o = std::copy(p->row(i), p->row(i) + p->cols(), o);
+  }
+  return out;
+}
 
 }  // namespace bsg

@@ -17,20 +17,6 @@ constexpr int kSpRowGrain = 64;
 
 }  // namespace
 
-PoolSlabF& PoolSlabF::operator=(const PoolSlabF& other) {
-  if (this == &other) return *this;
-  // Reuse the held slab when its double capacity covers the floats.
-  if (capacity_doubles_ * 2 < other.size_) {
-    BufferPool::Global().Release(reinterpret_cast<double*>(data_),
-                                 capacity_doubles_);
-    data_ = reinterpret_cast<float*>(BufferPool::Global().Acquire(
-        (other.size_ + 1) / 2, &capacity_doubles_));
-  }
-  size_ = other.size_;
-  for (size_t i = 0; i < size_; ++i) data_[i] = other.data_[i];
-  return *this;
-}
-
 PoolSlabF& PoolSlabF::operator=(PoolSlabF&& other) noexcept {
   if (this == &other) return *this;
   BufferPool::Global().Release(reinterpret_cast<double*>(data_),
@@ -64,11 +50,11 @@ Matrix MatrixF::ToDouble() const {
   return out;
 }
 
-void MatrixF::Axpy(float alpha, const MatrixF& other) {
-  BSG_CHECK(SameShape(other), "Axpy shape mismatch");
+void MatrixF::Add(const MatrixF& other) {
+  BSG_CHECK(SameShape(other), "Add shape mismatch");
   float* a = data();
   const float* b = other.data();
-  for (size_t i = 0, n = size(); i < n; ++i) a[i] += alpha * b[i];
+  for (size_t i = 0, n = size(); i < n; ++i) a[i] += b[i];
 }
 
 void MatrixF::Scale(float alpha) {
@@ -132,15 +118,11 @@ void MatrixF::TanhInPlace() {
   for (size_t i = 0, n = size(); i < n; ++i) p[i] = std::tanh(p[i]);
 }
 
-float MatrixF::Sum() const {
+float MatrixF::Mean() const {
   const float* p = data();
   float s = 0.0f;
   for (size_t i = 0, n = size(); i < n; ++i) s += p[i];
-  return s;
-}
-
-float MatrixF::Mean() const {
-  return empty() ? 0.0f : Sum() / static_cast<float>(size());
+  return empty() ? 0.0f : s / static_cast<float>(size());
 }
 
 MatrixF MatrixF::GatherRows(const std::vector<int>& indices) const {
@@ -153,11 +135,11 @@ MatrixF MatrixF::GatherRows(const std::vector<int>& indices) const {
   return out;
 }
 
-MatrixF SpmmF(const Csr& a, const std::vector<float>* w32, const MatrixF& x) {
-  BSG_CHECK(a.num_nodes() == x.rows(), "SpmmF shape mismatch");
+MatrixF Spmm(const Csr& a, const std::vector<float>* w32, const MatrixF& x) {
+  BSG_CHECK(a.num_nodes() == x.rows(), "Spmm shape mismatch");
   BSG_CHECK(w32 == nullptr ||
                 static_cast<int64_t>(w32->size()) == a.num_edges(),
-            "SpmmF f32 weight count mismatch");
+            "Spmm f32 weight count mismatch");
   MatrixF out(a.num_nodes(), x.cols());
   const int d = x.cols();
   const float* wf = w32 != nullptr ? w32->data() : nullptr;
@@ -178,24 +160,6 @@ MatrixF SpmmF(const Csr& a, const std::vector<float>* w32, const MatrixF& x) {
       }
     }
   });
-  return out;
-}
-
-MatrixF ConcatColsF(const std::vector<const MatrixF*>& parts) {
-  BSG_CHECK(!parts.empty(), "ConcatColsF on no parts");
-  const int rows = parts[0]->rows();
-  int total_cols = 0;
-  for (const MatrixF* p : parts) {
-    BSG_CHECK(p->rows() == rows, "ConcatColsF row mismatch");
-    total_cols += p->cols();
-  }
-  MatrixF out = MatrixF::Uninit(rows, total_cols);
-  for (int i = 0; i < rows; ++i) {
-    float* o = out.row(i);
-    for (const MatrixF* p : parts) {
-      o = std::copy(p->row(i), p->row(i) + p->cols(), o);
-    }
-  }
   return out;
 }
 

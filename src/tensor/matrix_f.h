@@ -30,9 +30,9 @@ namespace bsg {
 class Matrix;
 
 /// RAII float view over one pooled double slab (capacity in floats is twice
-/// the double bucket). Value semantics mirror PoolSlab: deep copies, moving
-/// transfers ownership, destruction releases the slab. Acquire returns stale
-/// contents — callers fill.
+/// the double bucket). Move-only (the f32 forward never copies a matrix):
+/// moving transfers ownership, destruction releases the slab. Acquire
+/// returns stale contents — callers fill.
 class PoolSlabF {
  public:
   PoolSlabF() = default;
@@ -43,13 +43,11 @@ class PoolSlabF {
         BufferPool::Global().Acquire((n + 1) / 2, &cap_doubles));
     capacity_doubles_ = cap_doubles;
   }
-  PoolSlabF(const PoolSlabF& other) : PoolSlabF(other.size_) {
-    for (size_t i = 0; i < size_; ++i) data_[i] = other.data_[i];
-  }
+  PoolSlabF(const PoolSlabF&) = delete;
+  PoolSlabF& operator=(const PoolSlabF&) = delete;
   PoolSlabF(PoolSlabF&& other) noexcept {
     *this = static_cast<PoolSlabF&&>(other);
   }
-  PoolSlabF& operator=(const PoolSlabF& other);
   PoolSlabF& operator=(PoolSlabF&& other) noexcept;
   ~PoolSlabF() {
     BufferPool::Global().Release(reinterpret_cast<double*>(data_),
@@ -70,8 +68,11 @@ class PoolSlabF {
 };
 
 /// Dense row-major matrix of floats (inference kernels only — no autograd).
+/// Move-only, like its storage.
 class MatrixF {
  public:
+  using Scalar = float;
+
   MatrixF() : rows_(0), cols_(0) {}
   MatrixF(int rows, int cols, float fill = 0.0f)
       : rows_(rows), cols_(cols), data_(static_cast<size_t>(rows) * cols) {
@@ -125,8 +126,8 @@ class MatrixF {
     for (size_t i = 0, n = data_.size(); i < n; ++i) p[i] = v;
   }
 
-  /// this += alpha * other (the semantic-attention fusion axpy).
-  void Axpy(float alpha, const MatrixF& other);
+  /// this += other (shapes must match).
+  void Add(const MatrixF& other);
   /// this *= alpha elementwise.
   void Scale(float alpha);
 
@@ -143,9 +144,8 @@ class MatrixF {
   /// Elementwise tanh in place (semantic-attention projection).
   void TanhInPlace();
 
-  /// Sum / mean over all entries (float accumulation — serving matrices are
+  /// Mean over all entries (float accumulation — serving matrices are
   /// small; tolerance covers the difference vs the f64 oracle).
-  float Sum() const;
   float Mean() const;
 
   /// Extracts rows by index.
@@ -162,9 +162,6 @@ class MatrixF {
 /// stacking time, 4-byte streams at scoring time); otherwise the Csr's
 /// double weights are cast per edge (unit weight when the Csr is
 /// unweighted).
-MatrixF SpmmF(const Csr& a, const std::vector<float>* w32, const MatrixF& x);
-
-/// Multi-way horizontal concatenation (Eq. 11 centre-layer concat).
-MatrixF ConcatColsF(const std::vector<const MatrixF*>& parts);
+MatrixF Spmm(const Csr& a, const std::vector<float>* w32, const MatrixF& x);
 
 }  // namespace bsg

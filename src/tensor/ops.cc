@@ -29,30 +29,10 @@ Tensor NewNode(Matrix value, std::vector<Tensor> parents) {
   return node;
 }
 
-// Destination-row grain for SpMM / segment ops: each chunk owns a range of
+// Destination-row grain for the segment ops: each chunk owns a range of
 // output rows, so there are no write conflicts by construction and results
 // are bit-identical at any thread count.
 constexpr int kSpRowGrain = 64;
-
-// Raw SpMM: out += A * x using per-edge weights (unit if unweighted).
-// Parallel over destination rows u; per-row edge accumulation keeps CSR
-// order, so the result matches the serial loop bit for bit.
-void SpmmAccumulate(const Csr& a, const Matrix& x, Matrix* out) {
-  const int d = x.cols();
-  ParallelFor(0, a.num_nodes(), kSpRowGrain, [&](int64_t u0, int64_t u1) {
-    for (int u = static_cast<int>(u0); u < static_cast<int>(u1); ++u) {
-      double* o = out->row(u);
-      const int* nb = a.NeighborsBegin(u);
-      const int* ne = a.NeighborsEnd(u);
-      const double* w = a.WeightsBegin(u);
-      for (const int* p = nb; p != ne; ++p) {
-        double weight = w ? w[p - nb] : 1.0;
-        const double* xr = x.row(*p);
-        for (int c = 0; c < d; ++c) o[c] += weight * xr[c];
-      }
-    }
-  });
-}
 
 }  // namespace
 
@@ -225,9 +205,7 @@ Tensor Scale(const Tensor& a, double alpha) {
 
 Tensor LeakyRelu(const Tensor& a, double slope) {
   Matrix v = a->value;
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (v.data()[i] < 0.0) v.data()[i] *= slope;
-  }
+  v.LeakyReluInPlace(slope);
   Tensor out = NewNode(std::move(v), {a});
   out->backward_fn = [slope](TensorNode* self) {
     TensorNode* a = self->parents[0].get();
@@ -244,7 +222,7 @@ Tensor Relu(const Tensor& a) { return LeakyRelu(a, 0.0); }
 
 Tensor Tanh(const Tensor& a) {
   Matrix v = a->value;
-  for (size_t i = 0; i < v.size(); ++i) v.data()[i] = std::tanh(v.data()[i]);
+  v.TanhInPlace();
   Tensor out = NewNode(std::move(v), {a});
   out->backward_fn = [](TensorNode* self) {
     TensorNode* a = self->parents[0].get();
@@ -314,23 +292,10 @@ Tensor Dropout(const Tensor& a, double p, bool training, Rng* rng) {
 }
 
 Tensor ConcatCols(const std::vector<Tensor>& parts) {
-  BSG_CHECK(!parts.empty(), "ConcatCols on empty list");
-  int rows = parts[0]->rows();
-  int total_cols = 0;
-  for (const Tensor& t : parts) {
-    BSG_CHECK(t->rows() == rows, "ConcatCols row mismatch");
-    total_cols += t->cols();
-  }
-  Matrix v(rows, total_cols);
-  int offset = 0;
-  for (const Tensor& t : parts) {
-    for (int i = 0; i < rows; ++i) {
-      std::copy(t->value.row(i), t->value.row(i) + t->cols(),
-                v.row(i) + offset);
-    }
-    offset += t->cols();
-  }
-  Tensor out = NewNode(std::move(v), parts);
+  std::vector<const Matrix*> values;
+  values.reserve(parts.size());
+  for (const Tensor& t : parts) values.push_back(&t->value);
+  Tensor out = NewNode(bsg::ConcatCols(values), parts);
   out->backward_fn = [](TensorNode* self) {
     int offset = 0;
     for (auto& parent : self->parents) {
@@ -386,13 +351,7 @@ Tensor GatherRows(const Tensor& a, std::vector<int> indices) {
 
 Tensor SpMM(const SpMat& a, const Tensor& x) {
   BSG_CHECK(a.fwd != nullptr && a.bwd != nullptr, "SpMM null operand");
-  BSG_CHECK(a.fwd->num_nodes() == x->rows(), "SpMM shape mismatch");
-  // Pooled, zero-filled destination: the accumulating kernel needs the
-  // zeros, but the slab itself recycles from the previous step, so the
-  // fill runs over warm pages instead of fresh first-touch faults.
-  Matrix v(a.fwd->num_nodes(), x->cols());
-  SpmmAccumulate(*a.fwd, x->value, &v);
-  Tensor out = NewNode(std::move(v), {x});
+  Tensor out = NewNode(Spmm(*a.fwd, x->value), {x});
   std::shared_ptr<const Csr> bwd = a.bwd;
   out->backward_fn = [bwd](TensorNode* self) {
     TensorNode* x = self->parents[0].get();

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cerrno>
-#include <climits>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -22,6 +21,7 @@
 #include <vector>
 
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace bsg {
 
@@ -71,15 +71,11 @@ class FlagParser {
   int GetInt(const std::string& name, int fallback) const {
     auto it = values_.find(name);
     if (it == values_.end()) return fallback;
-    const std::string& v = it->second;
-    errno = 0;
-    char* end = nullptr;
-    long parsed = std::strtol(v.c_str(), &end, 10);
-    BSG_CHECK(!v.empty() && end == v.c_str() + v.size() && errno != ERANGE &&
-                  parsed >= INT_MIN && parsed <= INT_MAX,
-              ("flag --" + name + " expects an integer, got '" + v + "'")
-                  .c_str());
-    return static_cast<int>(parsed);
+    Result<int> parsed = ParseInt(it->second);
+    BSG_CHECK(parsed.ok(), ("flag --" + name + " expects an integer, got '" +
+                            it->second + "'")
+                               .c_str());
+    return parsed.ValueOrDie();
   }
 
   /// Strict floating-point parse: the whole value must be a number.

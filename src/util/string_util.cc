@@ -1,9 +1,10 @@
 #include "util/string_util.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdarg>
 #include <cstdio>
-
-#include "util/status.h"
+#include <cstdlib>
 
 namespace bsg {
 
@@ -29,6 +30,17 @@ std::string StrJoin(const std::vector<std::string>& parts,
     out += parts[i];
   }
   return out;
+}
+
+Result<int> ParseInt(const std::string& s) {
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(s.c_str(), &end, 10);
+  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE ||
+      v < INT_MIN || v > INT_MAX) {
+    return Status::InvalidArgument("expected an integer, got '" + s + "'");
+  }
+  return static_cast<int>(v);
 }
 
 std::vector<std::string> SplitString(const std::string& s, char sep) {

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "util/status.h"
+
 namespace bsg {
 
 /// printf-style formatting into a std::string.
@@ -14,6 +16,10 @@ std::string StrFormat(const char* fmt, ...)
 /// Joins parts with a separator.
 std::string StrJoin(const std::vector<std::string>& parts,
                     const std::string& sep);
+
+/// Strict base-10 integer parse: the whole string must be an integer in
+/// int range ("5x", "" and "2147483648" are InvalidArgument).
+Result<int> ParseInt(const std::string& s);
 
 /// Splits on a separator character. Adjacent separators produce empty
 /// parts; an empty input produces one empty part (inverse of StrJoin).

@@ -7,6 +7,16 @@
 #include "test_common.h"
 
 namespace bsg {
+
+// Reaches Bsg4Bot's private autograd forward, the oracle of InferBatch.
+class Bsg4BotTestPeer {
+ public:
+  static Matrix OracleLogits(Bsg4Bot* model, const SubgraphBatch& batch,
+                             std::vector<double>* beta) {
+    return model->ForwardBatch(batch, /*training=*/false, beta)->value;
+  }
+};
+
 namespace {
 
 using bsg::testing::MultiRelationGraph;
@@ -58,15 +68,27 @@ TEST(Bsg4BotExtra, DeterministicAcrossIdenticalRuns) {
 TEST(Bsg4BotExtra, RelationWeightsFormSimplexAfterFit) {
   Bsg4Bot model(MultiRelationGraph(), TinyCfg());
   model.Fit();
-  const std::vector<double>& w = model.relation_weights();
-  ASSERT_EQ(w.size(),
-            static_cast<size_t>(MultiRelationGraph().num_relations()));
+  const int num_relations = MultiRelationGraph().num_relations();
+  SubgraphBatch batch = MakeSubgraphBatch(
+      model.subgraphs(), MultiRelationGraph().test_idx, num_relations);
+  BatchInference inferred = model.InferBatch<Matrix>(batch);
+  const std::vector<double>& w = inferred.beta;
+  ASSERT_EQ(w.size(), static_cast<size_t>(num_relations));
   double total = 0.0;
   for (double v : w) {
     EXPECT_GT(v, 0.0);
     total += v;
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
+
+  // On the same batch the inference forward returns the autograd
+  // forward's beta and logits, bit for bit.
+  std::vector<double> oracle_beta;
+  Matrix oracle_logits =
+      Bsg4BotTestPeer::OracleLogits(&model, batch, &oracle_beta);
+  ASSERT_EQ(oracle_beta.size(), w.size());
+  for (size_t r = 0; r < w.size(); ++r) EXPECT_EQ(w[r], oracle_beta[r]) << r;
+  EXPECT_TRUE(testing::SameBits(inferred.logits, oracle_logits));
 }
 
 TEST(Bsg4BotExtra, MinEpochsPreventsPrematureStop) {

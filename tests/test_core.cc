@@ -175,10 +175,10 @@ TEST(SemanticAttention, OutputShapeAndWeightSimplex) {
   Tensor h1 = MakeTensor(Matrix::RandomNormal(5, 8, 1.0, &rng));
   Tensor h2 = MakeTensor(Matrix::RandomNormal(5, 8, 1.0, &rng));
   Tensor h3 = MakeTensor(Matrix::RandomNormal(5, 8, 1.0, &rng));
-  Tensor out = att.Forward({h1, h2, h3});
+  std::vector<double> betas;
+  Tensor out = att.Forward({h1, h2, h3}, &betas);
   EXPECT_EQ(out->rows(), 5);
   EXPECT_EQ(out->cols(), 8);
-  const auto& betas = att.last_weights();
   ASSERT_EQ(betas.size(), 3u);
   double total = 0.0;
   for (double b : betas) {

@@ -1,8 +1,11 @@
-// Mixed-precision serving parity: the f32 engine path against the f64
-// oracle. Per-logit agreement within the documented tolerance and identical
-// argmax over the bench corpus (the test split), on both the 2-relation and
-// the 7-relation (semantic-attention) model; shadow refresh semantics across
-// checkpoint restore; and f32 single-target scoring.
+// Mixed-precision serving parity: both instances of the inference forward
+// against the f64 autograd oracle. The f64 engine's logits are bit-identical
+// to PredictLogits, and the f32 engine's agree per logit within the
+// documented tolerance with identical argmax over the bench corpus (the
+// test split), on the 2-relation and 7-relation models and under both
+// Table V fusion ablations (no Eq. 11 concat, mean pooling instead of
+// Eq. 12-14); shadow refresh semantics across checkpoint restore; and f32
+// single-target scoring.
 #include <cmath>
 #include <vector>
 
@@ -23,8 +26,14 @@ using testing::SmallGraph;
 // |f32 - f64| <= kTol * (1 + |f64|).
 constexpr double kTol = 5e-3;
 
-Bsg4BotConfig ParityModelConfig(uint64_t seed) {
+// The three served architectures: the full model and the two Table V
+// fusion ablations.
+enum class Arch { kFull, kNoConcat, kMeanPool };
+
+Bsg4BotConfig ParityModelConfig(uint64_t seed, Arch arch = Arch::kFull) {
   Bsg4BotConfig cfg;
+  cfg.use_intermediate_concat = arch != Arch::kNoConcat;
+  cfg.use_semantic_attention = arch != Arch::kMeanPool;
   cfg.pretrain.epochs = 8;
   cfg.subgraph.k = 10;
   cfg.hidden = 12;
@@ -44,12 +53,14 @@ Bsg4Bot& SmallTrainedModel() {
   return *model;
 }
 
+Bsg4Bot* TrainMultiRelationModel(Arch arch) {
+  Bsg4Bot* m = new Bsg4Bot(MultiRelationGraph(), ParityModelConfig(33, arch));
+  m->Fit();
+  return m;
+}
+
 Bsg4Bot& MultiRelationTrainedModel() {
-  static Bsg4Bot* model = [] {
-    Bsg4Bot* m = new Bsg4Bot(MultiRelationGraph(), ParityModelConfig(33));
-    m->Fit();
-    return m;
-  }();
+  static Bsg4Bot* model = TrainMultiRelationModel(Arch::kFull);
   return *model;
 }
 
@@ -59,15 +70,20 @@ EngineConfig PrecisionConfig(EngineConfig::Precision p) {
   return cfg;
 }
 
-// Scores `targets` through both precisions and checks the parity contract:
-// every logit within kTol relative error, every argmax identical.
+// Scores `targets` through both precisions and checks the serving
+// contract: f64 logits bit-identical to PredictLogits, f32 logits within
+// kTol relative error of them, every argmax identical.
 void ExpectEngineParity(Bsg4Bot* model, const std::vector<int>& targets) {
   DetectionEngine f64(model, PrecisionConfig(EngineConfig::Precision::kF64));
   DetectionEngine f32(model, PrecisionConfig(EngineConfig::Precision::kF32));
+  Matrix autograd = model->PredictLogits(targets);
   std::vector<Score> oracle = f64.ScoreBatch(targets);
   std::vector<Score> fast = f32.ScoreBatch(targets);
+  ASSERT_EQ(oracle.size(), targets.size());
   ASSERT_EQ(oracle.size(), fast.size());
   for (size_t i = 0; i < oracle.size(); ++i) {
+    EXPECT_EQ(oracle[i].logit_human, autograd(static_cast<int>(i), 0)) << i;
+    EXPECT_EQ(oracle[i].logit_bot, autograd(static_cast<int>(i), 1)) << i;
     EXPECT_EQ(fast[i].target, oracle[i].target);
     EXPECT_LE(std::abs(fast[i].logit_human - oracle[i].logit_human),
               kTol * (1.0 + std::abs(oracle[i].logit_human)))
@@ -91,6 +107,18 @@ TEST(F32Parity, EngineLogitsAgreeOnSevenRelationSemanticAttentionCorpus) {
   // across a wide relation fan-in.
   ExpectEngineParity(&MultiRelationTrainedModel(),
                      MultiRelationGraph().test_idx);
+}
+
+TEST(F32Parity, EngineLogitsAgreeWithoutIntermediateConcat) {
+  // Eq. 11 ablation: each relation contributes only its last layer.
+  static Bsg4Bot* model = TrainMultiRelationModel(Arch::kNoConcat);
+  ExpectEngineParity(model, MultiRelationGraph().test_idx);
+}
+
+TEST(F32Parity, EngineLogitsAgreeUnderMeanPooling) {
+  // Eq. 12-14 ablation: relations fuse by mean pooling, so no beta.
+  static Bsg4Bot* model = TrainMultiRelationModel(Arch::kMeanPool);
+  ExpectEngineParity(model, MultiRelationGraph().test_idx);
 }
 
 TEST(F32Parity, SingleTargetScoringAgrees) {

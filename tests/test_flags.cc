@@ -1,4 +1,4 @@
-// Command-line flag parser.
+// Command-line flag parser and the strict integer parse it shares.
 #include <set>
 #include <string>
 #include <vector>
@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "util/flags.h"
+#include "util/string_util.h"
 
 namespace bsg {
 namespace {
@@ -108,6 +109,18 @@ TEST(Flags, StrictIntAcceptsWholeTokenOnly) {
   FlagParser f = Parse({"--workers=8", "--neg=-3"});
   EXPECT_EQ(f.GetInt("workers", 0), 8);
   EXPECT_EQ(f.GetInt("neg", 0), -3);
+}
+
+TEST(ParseInt, AcceptsWholeIntRangeTokensOnly) {
+  for (const char* bad : {"abc", "5x", "", "2147483648"}) {
+    Result<int> r = ParseInt(bad);
+    EXPECT_FALSE(r.ok()) << "'" << bad << "'";
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  ASSERT_TRUE(ParseInt("-3").ok());
+  EXPECT_EQ(ParseInt("-3").ValueOrDie(), -3);
+  ASSERT_TRUE(ParseInt("42").ok());
+  EXPECT_EQ(ParseInt("42").ValueOrDie(), 42);
 }
 
 TEST(FlagsDeathTest, GarbageIntegerAbortsNamingTheFlag) {

@@ -750,14 +750,16 @@ TEST(ServingFrontendMemory, PressureChaosSoakConservesAndRecovers) {
 
   // A budget with watermarks a small margin above the current footprint:
   // cache growth crosses them mid-soak, so real reclaim (pool trim, cache
-  // shrink) and real refusals mix with the injected ones.
+  // shrink) and real refusals mix with the injected ones. The margins sit
+  // below one forward's working set, which reclaim cannot trim while the
+  // forward runs.
   ResourceGovernor& gov = ResourceGovernor::Global();
   const uint64_t base = gov.total_bytes();
-  const uint64_t budget = base + (256u << 10);
+  const uint64_t budget = base + (64u << 10);
   gov.SetBudget(budget,
-                static_cast<double>(base + (64u << 10)) /
+                static_cast<double>(base + (16u << 10)) /
                     static_cast<double>(budget),
-                static_cast<double>(base + (128u << 10)) /
+                static_cast<double>(base + (32u << 10)) /
                     static_cast<double>(budget));
   // Plus deterministic-in-seed injected refusals on every TryCharge path.
   ASSERT_TRUE(FaultInjector::Global()

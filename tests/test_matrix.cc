@@ -105,7 +105,7 @@ TEST(Matrix, ColMeansAndStddevs) {
 TEST(Matrix, ConcatCols) {
   Matrix a = Matrix::FromRows({{1}, {2}});
   Matrix b = Matrix::FromRows({{3, 4}, {5, 6}});
-  Matrix c = a.ConcatCols(b);
+  Matrix c = ConcatCols<Matrix>({&a, &b});
   EXPECT_EQ(c.cols(), 3);
   EXPECT_DOUBLE_EQ(c(0, 0), 1);
   EXPECT_DOUBLE_EQ(c(0, 2), 4);

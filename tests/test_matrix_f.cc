@@ -107,11 +107,11 @@ TEST(MatrixF, SpmmMatchesEdgeByEdgeOracleBothWeightSources) {
   }
   MatrixF xf = MatrixF::FromDouble(x);
   // Per-edge double->float casts.
-  ExpectClose(want, SpmmF(adj, nullptr, xf), 1e-4);
+  ExpectClose(want, Spmm(adj, nullptr, xf), 1e-4);
   // Pre-cast weight stream (the BatchStacker path) — same values.
   std::vector<float> w32(adj.weights().begin(), adj.weights().end());
-  MatrixF a = SpmmF(adj, nullptr, xf);
-  MatrixF b = SpmmF(adj, &w32, xf);
+  MatrixF a = Spmm(adj, nullptr, xf);
+  MatrixF b = Spmm(adj, &w32, xf);
   ASSERT_TRUE(a.SameShape(b));
   for (int r = 0; r < a.rows(); ++r) {
     for (int c = 0; c < a.cols(); ++c) EXPECT_EQ(a(r, c), b(r, c));
@@ -125,7 +125,7 @@ TEST(MatrixF, UnweightedSpmmSumsNeighbours) {
   x(1, 0) = 2.0f;
   x(2, 0) = 4.0f;
   x(0, 1) = -1.0f;
-  MatrixF out = SpmmF(adj, nullptr, x);
+  MatrixF out = Spmm(adj, nullptr, x);
   EXPECT_EQ(out(0, 0), 6.0f);   // rows 1 + 2
   EXPECT_EQ(out(1, 0), 0.0f);   // no neighbours
   EXPECT_EQ(out(2, 0), 1.0f);   // row 0
@@ -156,16 +156,15 @@ TEST(MatrixF, ElementwiseKernelsMatchF64Oracle) {
   ExpectClose(th_want, th, 1e-6);
 
   MatrixF ax = MatrixF::FromDouble(a);
-  ax.Axpy(0.5f, MatrixF::FromDouble(b));
+  ax.Add(MatrixF::FromDouble(b));
   ax.Scale(2.0f);
   Matrix ax_want(9, 11);
   for (int r = 0; r < 9; ++r) {
-    for (int c = 0; c < 11; ++c) ax_want(r, c) = 2.0 * (a(r, c) + 0.5 * b(r, c));
+    for (int c = 0; c < 11; ++c) ax_want(r, c) = 2.0 * (a(r, c) + b(r, c));
   }
   ExpectClose(ax_want, ax, 1e-5);
 
   MatrixF af = MatrixF::FromDouble(a);
-  EXPECT_NEAR(af.Sum(), a.Sum(), 1e-4 * (1.0 + std::abs(a.Sum())));
   EXPECT_NEAR(af.Mean(), a.Mean(), 1e-5);
 }
 
@@ -182,7 +181,7 @@ TEST(MatrixF, GatherAndConcatPreserveLayout) {
     }
   }
   std::vector<const MatrixF*> parts = {&g, &g, &g};
-  MatrixF cat3 = ConcatColsF(parts);
+  MatrixF cat3 = ConcatCols(parts);
   ASSERT_EQ(cat3.cols(), 9);
   for (int r = 0; r < 4; ++r) {
     for (int c = 0; c < 3; ++c) {
@@ -225,12 +224,12 @@ TEST(MatrixF, NaNAndInfPropagateThroughBranchFreeKernels) {
   EXPECT_EQ(d(0, 1), kInf);
   EXPECT_EQ(d(0, 2), -kInf);
 
-  // Axpy and the sparse kernel propagate too.
+  // Add and the sparse kernel propagate too.
   MatrixF e(2, 2, 1.0f);
-  e.Axpy(1.0f, a);
+  e.Add(a);
   EXPECT_TRUE(std::isnan(e(0, 0)));
   Csr adj = Csr::FromEdges(2, {{0, 0}, {1, 0}});
-  MatrixF sp = SpmmF(adj, nullptr, a);
+  MatrixF sp = Spmm(adj, nullptr, a);
   EXPECT_TRUE(std::isnan(sp(0, 0)));
   EXPECT_TRUE(std::isnan(sp(1, 0)));
 }
@@ -251,16 +250,6 @@ TEST(MatrixF, PooledStorageRecyclesThroughTheGlobalBufferPool) {
   const size_t cap_doubles = BufferPool::BucketCapacity((33 * 17 + 1) / 2);
   EXPECT_GE(cap_doubles * 2, static_cast<size_t>(33 * 17));
 
-  // Copies are deep; assignment into a same-bucket slab reuses it.
-  MatrixF src(4, 4, 2.5f);
-  MatrixF dst(4, 4, 0.0f);
-  BufferPoolStats b2 = BufferPool::Global().Stats();
-  dst = src;
-  BufferPoolStats a2 = BufferPool::Global().Stats();
-  EXPECT_EQ(a2.acquires, b2.acquires);  // slab reused, no pool round trip
-  EXPECT_EQ(dst(3, 3), 2.5f);
-  src(3, 3) = -1.0f;
-  EXPECT_EQ(dst(3, 3), 2.5f);
 }
 
 }  // namespace
