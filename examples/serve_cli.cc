@@ -166,8 +166,12 @@ Result<std::vector<int>> ResolveTargets(const FlagParser& flags,
     return graph.test_idx;
   }
   std::vector<int> ids;
-  for (const std::string& tok : tokens) {
-    if (tok.empty()) continue;
+  for (std::string tok : tokens) {
+    // Surrounding blanks and a CRLF line's '\r' are not part of the id;
+    // a line or field holding nothing else is skipped.
+    const size_t first = tok.find_first_not_of(" \t\r");
+    if (first == std::string::npos) continue;
+    tok = tok.substr(first, tok.find_last_not_of(" \t\r") - first + 1);
     Result<int> id = ParseInt(tok);
     if (!id.ok()) return Status::InvalidArgument("bad account id: " + tok);
     if (id.ValueOrDie() < 0 || id.ValueOrDie() >= graph.num_nodes) {

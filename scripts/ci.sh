@@ -33,7 +33,8 @@
 #    the bit-identity contract of the serving subsystem, end to end; then
 #    re-serve through the concurrent front-end at --workers=1 and
 #    --workers=4 and diff those too (worker count must not perturb logits);
-#    non-integer --ids and a missing --ids-file must exit non-zero
+#    non-integer --ids and a missing --ids-file must exit non-zero, and a
+#    CRLF ids file with a blank line must score what the same --ids does
 # 6. BSG_MARCH_NATIVE=ON build running the f32 suites and
 #    test_serve_engine: the mixed-precision parity tolerance must hold
 #    under full-width SIMD codegen too, and the engine's f64 inference
@@ -135,6 +136,15 @@ if "$BUILD_DIR/examples/serve_cli" --ckpt="$SERVE_TMP/model.ckpt" \
     --ids-file="$SERVE_TMP/missing_ids.txt"; then
   echo "unreadable --ids-file accepted"; exit 1; fi
 echo "serve smoke: bad --ids and a missing --ids-file exit non-zero"
+# A CRLF ids file with a blank line and padded ids scores what --ids does.
+printf '3\r\n\r\n 17 \r\n' > "$SERVE_TMP/ids_crlf.txt"
+"$BUILD_DIR/examples/serve_cli" --ckpt="$SERVE_TMP/model.ckpt" \
+  --ids-file="$SERVE_TMP/ids_crlf.txt" > "$SERVE_TMP/crlf_scores.jsonl"
+"$BUILD_DIR/examples/serve_cli" --ckpt="$SERVE_TMP/model.ckpt" \
+  --ids=3,17 > "$SERVE_TMP/ids_scores.jsonl"
+test "$(wc -l < "$SERVE_TMP/ids_scores.jsonl")" -eq 2
+diff "$SERVE_TMP/ids_scores.jsonl" "$SERVE_TMP/crlf_scores.jsonl"
+echo "serve smoke: a CRLF ids file scores the same accounts as --ids"
 
 echo "=== concurrent serve smoke (--workers=4 vs --workers=1 logit diff) ==="
 "$BUILD_DIR/examples/serve_cli" --ckpt="$SERVE_TMP/model.ckpt" \

@@ -750,9 +750,9 @@ TEST(ServingFrontendMemory, PressureChaosSoakConservesAndRecovers) {
 
   // A budget with watermarks a small margin above the current footprint:
   // cache growth crosses them mid-soak, so real reclaim (pool trim, cache
-  // shrink) and real refusals mix with the injected ones. The margins sit
-  // below one forward's working set, which reclaim cannot trim while the
-  // forward runs.
+  // shrink) and real refusals mix with the injected ones. The margins are
+  // absolute bytes, so a change in how much one forward holds can stop the
+  // soak from reaching kHard; the pressure assertions below then fail.
   ResourceGovernor& gov = ResourceGovernor::Global();
   const uint64_t base = gov.total_bytes();
   const uint64_t budget = base + (64u << 10);
